@@ -15,9 +15,9 @@ iteration (the seed behaviour).  The total pivot counters exposed by
 """
 
 
+from repro.api import Analysis, AnalysisConfig, analyze
 from repro.baselines import eager_generator_synthesis
 from repro.benchsuite import get_suite
-from repro.core.termination import TerminationProver
 
 PROGRAMS = [p for p in get_suite("termcomp") if p.terminating][:4]
 
@@ -28,9 +28,8 @@ def _run_lazy(lp_mode="incremental"):
     warm = 0
     cold = 0
     for program in PROGRAMS:
-        result = TerminationProver(
-            program.build(), check_certificates=False, lp_mode=lp_mode
-        ).prove()
+        config = AnalysisConfig(check_certificates=False, lp_mode=lp_mode)
+        result = analyze(program.build(), tool="termite", config=config)
         proved += int(result.proved)
         pivots += result.lp_statistics.pivots
         warm += result.lp_statistics.warm_solves
@@ -42,9 +41,8 @@ def _run_eager():
     proved = 0
     generators = 0
     for program in PROGRAMS:
-        problem = TerminationProver(
-            program.build(), check_certificates=False
-        ).build_problem()
+        config = AnalysisConfig(check_certificates=False)
+        problem = Analysis(program.build(), config=config).problem()
         result = eager_generator_synthesis(problem)
         proved += int(result.proved)
         generators += int(result.details.get("generators", 0))

@@ -10,8 +10,8 @@ number of refinement iterations they need.
 
 import pytest
 
+from repro.api import AnalysisConfig, analyze
 from repro.benchsuite import get_suite
-from repro.core.termination import TerminationProver
 
 PROGRAMS = [p for p in get_suite("wtc") if p.terminating][:3]
 
@@ -20,10 +20,8 @@ def _run(mode: str):
     proved = 0
     iterations = 0
     for program in PROGRAMS:
-        prover = TerminationProver(
-            program.build(), smt_mode=mode, check_certificates=False
-        )
-        result = prover.prove()
+        config = AnalysisConfig(smt_mode=mode, check_certificates=False)
+        result = analyze(program.build(), tool="termite", config=config)
         proved += int(result.proved)
         iterations += result.iterations
     return proved, iterations

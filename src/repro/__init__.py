@@ -26,9 +26,8 @@ Quickstart::
     assert result.proved
     print(result.ranking.pretty())
 
-The historical entry points (:func:`prove_termination`,
-:class:`TerminationProver`) remain available as thin wrappers; see
-``docs/MIGRATION.md``.
+``docs/MIGRATION.md`` maps the removed historical entry points onto this
+API.
 """
 
 from repro.api import (
@@ -46,12 +45,7 @@ from repro.api import (
     get_prover,
     register_prover,
 )
-from repro.core import (
-    LexicographicRankingFunction,
-    TerminationProver,
-    TerminationResult,
-    prove_termination,
-)
+from repro.core import LexicographicRankingFunction
 from repro.frontend import compile_program, parse_program
 from repro.program import AutomatonBuilder, ControlFlowAutomaton, simple_loop
 
@@ -72,10 +66,6 @@ __all__ = [
     "available_provers",
     "get_prover",
     "register_prover",
-    # historical entry points (thin wrappers)
-    "prove_termination",
-    "TerminationProver",
-    "TerminationResult",
     "LexicographicRankingFunction",
     # front-end and automata
     "compile_program",

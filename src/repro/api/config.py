@@ -61,9 +61,9 @@ def _require(condition: bool, message: str) -> None:
 class AnalysisConfig:
     """Every knob of the termination analysis, as one immutable value.
 
-    The fields correspond one-to-one to the keyword arguments the old
-    ``TerminationProver`` constructor used to take (see
-    ``docs/MIGRATION.md`` for the mapping).
+    ``docs/MIGRATION.md`` maps the keyword arguments of the removed
+    ``TerminationProver`` constructor and the removed ``cex_batch`` knob
+    onto these fields.
     """
 
     #: Counterexample search strategy of the optimising SMT oracle:
@@ -102,9 +102,6 @@ class AnalysisConfig:
     #: choice), ``"arbitrary"`` (first found, no optimisation) or
     #: ``"random"`` (seeded pick) — the §4.2 ablation axis.
     cex_strategy: str = "extremal"
-    #: LP rows added per refinement iteration (batched refinement; 1
-    #: replays the paper's one-row-per-counterexample loop).
-    cex_batch: int = 1
     #: Seed of the sampling oracle and the random strategy.
     oracle_seed: int = 0
     #: Nontermination analysis: ``"off"`` (termination only — the
@@ -171,12 +168,6 @@ class AnalysisConfig:
             self.cex_strategy in CEX_STRATEGIES,
             "cex_strategy must be one of %s, got %r"
             % (", ".join(CEX_STRATEGIES), self.cex_strategy),
-        )
-        _require(
-            isinstance(self.cex_batch, int)
-            and not isinstance(self.cex_batch, bool)
-            and self.cex_batch >= 1,
-            "cex_batch must be a positive int, got %r" % (self.cex_batch,),
         )
         _require(
             isinstance(self.oracle_seed, int)

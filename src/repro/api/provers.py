@@ -36,20 +36,22 @@ from repro.baselines import (
 from repro.baselines.result import BaselineResult
 from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
-from repro.core.monodim import MaxIterationsExceeded
-from repro.core.multidim import synthesize_multidim
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
+from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
+from repro.synthesis.oracles import make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate
 
 
 class TermiteProver(Prover):
     """The paper's contribution: lazy, counterexample-guided synthesis.
 
     The counterexample source and refinement policy are swappable
-    through ``config.cex_oracle`` / ``cex_strategy`` / ``cex_batch`` /
-    ``oracle_seed`` (see :mod:`repro.synthesis`); *observer*, when
-    given, receives the engine's per-iteration
-    :class:`~repro.synthesis.engine.CegisEvent` stream.
+    through ``config.cex_oracle`` / ``cex_strategy`` / ``oracle_seed``
+    (see :mod:`repro.synthesis`); *observer*, when given, receives the
+    engine's per-iteration :class:`~repro.synthesis.engine.CegisEvent`
+    stream.
     """
 
     name = "termite"
@@ -111,22 +113,25 @@ class TermiteProver(Prover):
         lp_statistics: LpStatistics,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> AnalysisResult:
+        template = LexicographicTemplate(
+            problem,
+            integer_mode=config.integer_mode,
+            smt_mode=config.search_mode,
+            max_dimension=config.max_dimension,
+            kernel=config.kernel,
+        )
+        engine = CegisEngine(
+            make_oracle(config.cex_oracle, seed=config.oracle_seed),
+            make_strategy(config.cex_strategy, seed=config.oracle_seed),
+            max_iterations=config.max_iterations,
+            lp_mode=config.lp_mode,
+            kernel=config.kernel,
+            observers=(observer,) if observer is not None else (),
+            should_stop=should_stop,
+        )
         try:
-            outcome = synthesize_multidim(
-                problem,
-                smt_mode=config.search_mode,
-                integer_mode=config.integer_mode,
-                max_dimension=config.max_dimension,
-                max_iterations=config.max_iterations,
-                lp_statistics=lp_statistics,
-                lp_mode=config.lp_mode,
-                kernel=config.kernel,
-                oracle=config.cex_oracle,
-                cex_strategy=config.cex_strategy,
-                cex_batch=config.cex_batch,
-                oracle_seed=config.oracle_seed,
-                observers=(observer,) if observer is not None else (),
-                should_stop=should_stop,
+            outcome = engine.synthesize_lexicographic(
+                template, lp_statistics=lp_statistics
             )
         except MaxIterationsExceeded as error:
             return AnalysisResult(

@@ -29,8 +29,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #:
 #: ``certificates``    — :meth:`Prover.certify` performs a real check;
 #: ``cex-oracles``     — honours :attr:`AnalysisConfig.cex_oracle`;
-#: ``cex-strategies``  — honours ``cex_strategy`` / ``cex_batch`` /
-#:                       ``oracle_seed``;
+#: ``cex-strategies``  — honours ``cex_strategy`` / ``oracle_seed``;
 #: ``lp-modes``        — honours ``lp_mode`` (warm/cold/audit);
 #: ``kernels``         — honours ``kernel`` (packed int64 fast path vs
 #:                       exact bignum rows, or automatic selection);

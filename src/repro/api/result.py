@@ -1,10 +1,9 @@
 """The unified, JSON-serializable analysis result.
 
 One result type for every tool: Termite, the five baselines, the batch
-runner, and the CLI all produce :class:`AnalysisResult`.  It subsumes the
-three divergent result shapes the package grew historically
-(``TerminationResult``, ``BaselineResult`` and the runner's
-``ProgramOutcome``), which survive only as thin wrappers/aliases.
+runner, and the CLI all produce :class:`AnalysisResult`.  The baselines'
+internal :class:`~repro.baselines.result.BaselineResult` is converted into
+it at the prover boundary.
 
 The result round-trips through JSON **exactly**:
 ``AnalysisResult.from_dict(json.loads(json.dumps(r.to_dict()))) == r``,

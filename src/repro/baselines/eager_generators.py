@@ -29,7 +29,7 @@ from repro.baselines.result import BaselineResult
 from repro.core.lp_instance import LpStatistics, RankingLp
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
-from repro.linalg.matrix import in_span
+from repro.linalg.span import in_span
 from repro.linalg.vector import Vector
 from repro.synthesis.engine import eliminate_lexicographic
 from repro.synthesis.oracles import disjunct_generators

@@ -116,13 +116,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
         "'arbitrary'/'random' are the paper's ablation)",
     )
     group.add_argument(
-        "--cex-batch",
-        type=int,
-        metavar="K",
-        default=None,
-        help="LP rows added per refinement iteration (default: 1)",
-    )
-    group.add_argument(
         "--oracle-seed",
         type=int,
         metavar="N",
@@ -177,7 +170,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
-        ("cex_batch", "cex_batch"),
         ("oracle_seed", "oracle_seed"),
         ("max_iterations", "max_iterations"),
         ("max_dimension", "max_dimension"),

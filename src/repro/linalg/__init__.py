@@ -15,13 +15,7 @@ from repro.linalg.rational import (
 )
 from repro.linalg.sparse import SparseRow
 from repro.linalg.vector import Vector
-from repro.linalg.matrix import (
-    Matrix,
-    complete_basis,
-    in_span,
-    linearly_independent,
-    orthogonal_complement,
-)
+from repro.linalg.span import in_span, orthogonal_complement
 
 __all__ = [
     "Rat",
@@ -31,9 +25,6 @@ __all__ = [
     "integer_normalize",
     "SparseRow",
     "Vector",
-    "Matrix",
-    "complete_basis",
     "in_span",
-    "linearly_independent",
     "orthogonal_complement",
 ]

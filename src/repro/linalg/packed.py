@@ -68,10 +68,13 @@ KERNELS = ("auto", "packed", "exact")
 #: (:mod:`repro.linalg.stacked`) reaches wall-clock parity with the
 #: exact rows at ~55 standard-form columns and wins from there up
 #: (1.3x at ~69, 1.7x at ~86, >2.5x for the really wide systems).
-#: Against the WTC corpus' resolve-width histogram this sends the
-#: ranking-LP tableaus (~60-75 columns) to the stacked kernel while the
-#: many narrow projection-redundancy LPs (3-12 columns) keep the exact
-#: rows, which beat numpy-call overhead at those sizes.
+#: Measured placement on the 58 WTC programs (termite, default config):
+#: all 76 ranking-LP resolutions (:mod:`repro.core.lp_instance`) stay
+#: exact, and so do the 10,517 polyhedra LPs; all 1,327 stacked
+#: resolutions are SMT LPs, 1,254 theory checks (:mod:`repro.smt.theory`)
+#: and 73 optimisation queries (:mod:`repro.smt.optimize`).  The run
+#: makes 54,324 stacked pivots, 33,561 row pivots and 2,490 overflow
+#: fallbacks.
 PACKED_MIN_WIDTH = 56
 
 _INT64_MAX = 2**63 - 1

@@ -785,9 +785,11 @@ class SimplexState:
     every pending row is installed first, and a single
     :meth:`_Tableau.dual_optimize` run restores primal feasibility for
     all of them (``dual_repair_passes`` / ``last_repair_passes`` count
-    the passes so the ``cex_batch`` ablation can assert this).  When the
+    the passes).  The ranking LP appends such a batch on every
+    counterexample: its ``δ ≤ 1`` bound and its generator row, twice that
+    for a vertex that comes with a ray.  When the
     objective change since the last solve only *added* terms on columns
-    that are still nonbasic — the shape of every batched counterexample
+    that are still nonbasic — the shape of every counterexample
     iteration, whose fresh δ columns carry the new objective terms — the
     repricing is a constant-size cost-row update instead of a full
     re-elimination against the basis (``incremental_repricings``).
@@ -966,7 +968,7 @@ class SimplexState:
         # one ≤ row per direction), eliminated against the current basis;
         # a negative right-hand side is precisely what the dual simplex
         # repairs next.  The whole batch is installed before any repair
-        # pivot runs, so a ``cex_batch = k`` iteration pays one repair
+        # pivot runs, so k rows appended between solves pay one repair
         # pass, not k.
         for constraint in self._pending_constraints:
             expressions = [constraint.expr]

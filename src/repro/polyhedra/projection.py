@@ -32,7 +32,6 @@ Three layers keep the row count down, cheapest first:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -59,9 +58,8 @@ _CONST = -1
 _LP_PRUNE_GROWTH = 4
 
 
-@dataclass
-class ProjectionStatistics:
-    """Counters for the work (and the avoided work) of FM elimination.
+class ProjectionStatistics(threading.local):
+    """Per-thread counters for the work (and the avoided work) of FM elimination.
 
     ``lp_calls`` is the number of exact LP entailment checks actually
     solved; ``lp_calls_saved`` the number the cheap layers made
@@ -69,18 +67,21 @@ class ProjectionStatistics:
     and Kohler-pruned rows count, because those are exactly the rows the
     per-step LP pruning of the previous implementation would have
     entailment-checked; ``rows_eliminated`` the number of rows dropped
-    by any cheap layer.  The module-level :data:`statistics` handle is
-    **thread-local**: every thread folds into its own instance, so
-    concurrent analyses (e.g. the ``nonterm=auto`` race) can never
-    corrupt each other's counters or mis-attribute saved LP calls.
+    by any cheap layer.
+
+    Thread-local like the kernel counters of :mod:`repro.linalg.packed`:
+    every thread folds into its own attributes, so concurrent analyses
+    (e.g. the ``nonterm=auto`` race) can never corrupt each other's
+    counters or mis-attribute saved LP calls.
     """
 
-    variables_eliminated: int = 0
-    combinations: int = 0
-    lp_calls: int = 0
-    lp_calls_saved: int = 0
-    rows_pruned_syntactic: int = 0
-    rows_pruned_kohler: int = 0
+    def __init__(self) -> None:
+        self.variables_eliminated = 0
+        self.combinations = 0
+        self.lp_calls = 0
+        self.lp_calls_saved = 0
+        self.rows_pruned_syntactic = 0
+        self.rows_pruned_kohler = 0
 
     @property
     def rows_eliminated(self) -> int:
@@ -108,45 +109,9 @@ class ProjectionStatistics:
         }
 
 
-_THREAD_STATE = threading.local()
-
-
-def _current_statistics() -> ProjectionStatistics:
-    """This thread's counter instance (created lazily per thread)."""
-    stats = getattr(_THREAD_STATE, "statistics", None)
-    if stats is None:
-        stats = ProjectionStatistics()
-        _THREAD_STATE.statistics = stats
-    return stats
-
-
-class _ThreadLocalStatistics:
-    """Forwarding proxy onto the calling thread's :class:`ProjectionStatistics`.
-
-    Preserves the historical module-level ``statistics.xxx += 1`` /
-    ``statistics.snapshot()`` interface while keeping every thread's
-    counters isolated: attribute reads and writes resolve against the
-    calling thread's own instance, so two provers racing in one process
-    (``nonterm=auto``) cannot interleave increments or fold each other's
-    ``lp_calls_saved`` into their results.
-    """
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        return getattr(_current_statistics(), name)
-
-    def __setattr__(self, name: str, value) -> None:
-        setattr(_current_statistics(), name, value)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<thread-local %r>" % (_current_statistics(),)
-
-
-#: Per-thread counters behind one module-level handle;
-#: :func:`repro.api.pipeline` snapshots them around a run to attribute
-#: saved LP calls to that run's ``LpStatistics``.
-statistics = _ThreadLocalStatistics()
+#: The per-thread counters; :func:`repro.api.pipeline` snapshots them
+#: around a run to attribute saved LP calls to that run's ``LpStatistics``.
+statistics = ProjectionStatistics()
 
 
 def lp_calls_saved_since(snapshot: Tuple[int, ...]) -> int:

@@ -2,7 +2,6 @@
 
 from repro.reporting.parallel import TaskResult, run_tasks
 from repro.reporting.runner import (
-    ProgramOutcome,
     SuiteReport,
     TOOLS,
     reports_to_json_dict,
@@ -12,7 +11,6 @@ from repro.reporting.runner import (
 from repro.reporting.table import format_table, format_table1_row
 
 __all__ = [
-    "ProgramOutcome",
     "SuiteReport",
     "TaskResult",
     "run_suite",

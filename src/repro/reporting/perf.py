@@ -1,10 +1,11 @@
 """The measured-performance micro-suite behind ``repro bench``.
 
-Seven suites, cheapest first, each returning a plain dict that
-serialises into ``BENCH_kernel.json``.  The goal is a *committed*
-performance trajectory: every claim about the sparse scaled-integer
-kernel — and about the CEGIS oracle/strategy ablation — is a number in
-the repository, not an assertion in a docstring.
+Seven default suites, cheapest first, plus three opt-in ones, each
+returning a plain dict that serialises into ``BENCH_kernel.json``.  The
+goal is a *committed* performance trajectory: every claim about the
+sparse scaled-integer kernel — and about the CEGIS oracle/strategy
+ablation — is a number in the repository, not an assertion in a
+docstring.
 
 * ``kernel_rows`` — the raw row kernel: fused axpy/eliminate/dot on
   :class:`~repro.linalg.sparse.SparseRow` versus the same operations
@@ -24,9 +25,13 @@ the repository, not an assertion in a docstring.
 * ``kernel_packed`` — the packed int64 row kernel versus the exact
   bignum path on identical wide LP and Fourier–Motzkin workloads,
   asserting bit-identical outcomes before reporting the speedups.
-* ``cex_batch_ablation`` — the batched-counterexample knob
-  (``cex_batch`` ∈ {1, 2, 4, 8}) over the WTC slice: iterations, LP
-  rows, dual-repair passes and wall time per batch size.
+* ``kernel_crossover`` — stacked versus exact LP solves across a width
+  sweep: where the stacked kernel starts winning, next to the ``auto``
+  threshold :data:`repro.linalg.packed.PACKED_MIN_WIDTH`.
+
+The opt-in suites are ``service`` (the analysis service under
+concurrent clients), ``nonterm`` (the nonterminating corpus slice end
+to end) and ``service_chaos`` (live servers under injected faults).
 
 Reachable as ``repro bench``, ``python -m repro bench`` and
 ``python benchmarks/perf_kernel.py``.
@@ -224,19 +229,18 @@ def bench_projection(quick: bool = False, seed: int = 0) -> Dict:
 
 def bench_table1_slice(quick: bool = False) -> Dict:
     """End-to-end: the terminating WTC slice through the lazy prover."""
+    from repro.api import AnalysisConfig, analyze
     from repro.benchsuite import get_suite
-    from repro.core.termination import TerminationProver
 
     programs = [p for p in get_suite("wtc") if p.terminating]
     programs = programs[:2] if quick else programs[:4]
+    config = AnalysisConfig(check_certificates=False)
 
     pivots = warm = cold = proved = 0
     rows = cols = instances = 0
     started = time.perf_counter()
     for program in programs:
-        result = TerminationProver(
-            program.build(), check_certificates=False
-        ).prove()
+        result = analyze(program.build(), tool="termite", config=config)
         proved += int(result.proved)
         statistics = result.lp_statistics
         pivots += statistics.pivots
@@ -713,77 +717,6 @@ def bench_kernel_crossover(quick: bool = False, seed: int = 0) -> Dict:
     }
 
 
-#: The row-batch sizes of the ``cex_batch_ablation`` suite.
-CEX_BATCH_POINTS = (1, 2, 4, 8)
-
-
-def bench_cex_batch_ablation(quick: bool = False, seed: int = 0) -> Dict:
-    """Batched refinement: ``cex_batch`` ∈ {1, 2, 4, 8} over the WTC slice.
-
-    Each iteration of a ``cex_batch = k`` run appends up to ``k``
-    counterexample rows and pays **one** dual-simplex repair pass (the
-    multi-row repair of ``SimplexState``) instead of ``k``.  The DD
-    enumeration oracle supplies many candidates per query, which is the
-    regime batching targets.  Every point must prove the same programs —
-    batching changes the cost, never the verdict.
-    """
-    from repro.api import AnalysisConfig, analyze
-    from repro.benchsuite import get_suite
-
-    programs = [p for p in get_suite("wtc") if p.terminating]
-    programs = programs[:2] if quick else programs[:4]
-
-    points: List[Dict] = []
-    total = 0.0
-    proved_by_batch = []
-    for batch in CEX_BATCH_POINTS:
-        config = AnalysisConfig(
-            check_certificates=False,
-            cex_oracle="dd",
-            cex_batch=batch,
-            oracle_seed=seed,
-        )
-        proved = iterations = lp_rows = 0
-        pivots = warm = 0
-        started = time.perf_counter()
-        for program in programs:
-            result = analyze(
-                program.build(), tool="termite", config=config,
-                name=program.name,
-            )
-            proved += int(result.proved)
-            iterations += result.iterations
-            lp_rows += result.lp_statistics.cex_rows
-            pivots += result.lp_statistics.pivots
-            warm += result.lp_statistics.warm_solves
-        wall = time.perf_counter() - started
-        total += wall
-        proved_by_batch.append(proved)
-        points.append(
-            {
-                "cex_batch": batch,
-                "programs": len(programs),
-                "proved": proved,
-                "iterations": iterations,
-                "lp_rows": lp_rows,
-                "pivots": pivots,
-                "warm_solves": warm,
-                "wall_seconds": round(wall, 4),
-            }
-        )
-    if len(set(proved_by_batch)) != 1:
-        raise AssertionError(
-            "cex_batch changed a verdict: proved counts %r" % proved_by_batch
-        )
-
-    return {
-        "suite": "cex_batch_ablation",
-        "wall_seconds": round(total, 4),
-        "programs": len(programs),
-        "points": points,
-    }
-
-
 def _percentile(values: List[float], fraction: float) -> float:
     """The *fraction* percentile (nearest-rank) of *values*, seconds."""
     if not values:
@@ -1239,7 +1172,7 @@ def bench_service_chaos(quick: bool = False, seed: int = 0) -> Dict:
 #: (``repro bench service nonterm service_chaos``): the first forks a
 #: worker pool, the second proves the nonterminating corpus slice end to
 #: end, and the third injects faults into live servers, so the default
-#: ``repro bench`` run keeps the historical five-suite document.
+#: ``repro bench`` run leaves them out (see :data:`DEFAULT_SUITES`).
 SUITE_RUNNERS = {
     "kernel_rows": bench_kernel_rows,
     "simplex": bench_simplex,
@@ -1248,7 +1181,6 @@ SUITE_RUNNERS = {
     "cegis_ablation": bench_cegis_ablation,
     "kernel_packed": bench_kernel_packed,
     "kernel_crossover": bench_kernel_crossover,
-    "cex_batch_ablation": bench_cex_batch_ablation,
     "service": bench_service,
     "nonterm": bench_nonterm,
     "service_chaos": bench_service_chaos,
@@ -1263,12 +1195,11 @@ DEFAULT_SUITES = (
     "cegis_ablation",
     "kernel_packed",
     "kernel_crossover",
-    "cex_batch_ablation",
 )
 
 
 def run_suite(quick: bool = False, seed: int = 0, suites=None) -> Dict:
-    """Run the named *suites* (default: the five-kernel set) into the
+    """Run the named *suites* (default: :data:`DEFAULT_SUITES`) into the
     JSON document."""
     names = list(suites) if suites else list(DEFAULT_SUITES)
     unknown = [name for name in names if name not in SUITE_RUNNERS]

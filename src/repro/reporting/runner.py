@@ -33,13 +33,6 @@ from repro.api.result import AnalysisResult
 from repro.benchsuite.program import BenchmarkProgram
 from repro.reporting.parallel import run_tasks
 
-#: Historical alias: the runner's per-program outcome **is** the unified
-#: result type now.  Reading old code keeps working (``proved``,
-#: ``time_seconds``, ``lp_statistics``, ``error``, ``timed_out`` are all
-#: present), but the old constructor shape is gone — ``proved`` is a
-#: derived property of ``status``, not an ``__init__`` argument.  See
-#: ``docs/MIGRATION.md``.
-ProgramOutcome = AnalysisResult
 
 class _ToolsView(Mapping):
     """A live, read-only view of the prover registry.

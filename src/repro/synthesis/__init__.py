@@ -9,15 +9,14 @@ This package owns the counterexample-guided loop of the paper
 * :mod:`repro.synthesis.oracles` — where counterexamples come from
   (optimising SMT, double-description enumeration, seeded sampling);
 * :mod:`repro.synthesis.strategies` — which counterexamples become LP
-  rows (extremal / arbitrary / random, one row or a batch per iteration);
+  rows (extremal / arbitrary / random selection);
 * :mod:`repro.synthesis.templates` — the candidate spaces (linear
   per-cutpoint, lexicographic multidimensional).
 
-``core/monodim.py`` and ``core/multidim.py`` are thin configurations of
-this engine; the ``cex_oracle`` / ``cex_strategy`` / ``cex_batch`` /
-``oracle_seed`` fields of :class:`repro.api.AnalysisConfig` (and the
-matching ``repro prove --oracle/--cex-strategy`` flags) select the
-pieces end to end.
+The ``termite`` prover of :mod:`repro.api.provers` assembles these
+pieces; the ``cex_oracle`` / ``cex_strategy`` / ``oracle_seed`` fields
+of :class:`repro.api.AnalysisConfig` (and the matching ``repro prove
+--oracle/--cex-strategy`` flags) select them end to end.
 """
 
 from repro.synthesis.engine import (

@@ -1,7 +1,6 @@
 """The generic CEGIS synthesis engine (Algorithms 1–3 of the paper).
 
-The counterexample-guided loop that used to be hard-wired into
-``core/monodim.py`` and ``core/multidim.py`` lives here, decomposed into
+The counterexample-guided loop of the paper lives here, decomposed into
 four swappable pieces:
 
 * a **template** (:mod:`repro.synthesis.templates`) — the candidate space
@@ -11,13 +10,13 @@ four swappable pieces:
   counterexamples come from: the paper's optimising-SMT extremal-point
   search, double-description generator enumeration, or seeded sampling;
 * a **refinement strategy** (:mod:`repro.synthesis.strategies`) — which
-  of the oracle's candidates are turned into LP rows each iteration
-  (extremal / arbitrary / random selection, one row or a batch of ``k``);
+  of the oracle's candidates is turned into LP rows each iteration
+  (extremal / arbitrary / random selection);
 * **budgets and observers** — the iteration cap and a per-iteration event
   stream the analysis pipeline surfaces to its callers.
 
-With the default configuration (``smt`` oracle, ``extremal`` strategy,
-batch 1) the engine replays the seed loop of the paper decision for
+With the default configuration (``smt`` oracle, ``extremal`` strategy)
+the engine replays the seed loop of the paper decision for
 decision: one optimising SMT query per iteration, one generator row per
 counterexample, flat directions accumulated into the ``AvoidSpace``
 basis.  Every other oracle × strategy combination is an ablation the
@@ -51,7 +50,7 @@ from repro.core.ranking import (
     AffineRankingFunction,
     LexicographicRankingFunction,
 )
-from repro.linalg.matrix import in_span
+from repro.linalg.span import in_span
 from repro.linalg.vector import Vector
 
 
@@ -273,7 +272,6 @@ class CegisEngine:
                     objective=objective,
                     flat_basis=flat_basis,
                     want_extremal=self.strategy.wants_extremal,
-                    max_witnesses=self.strategy.batch,
                 )
             )
             if not groups:
@@ -285,19 +283,17 @@ class CegisEngine:
             self.oracle.consumed(chosen)
             vertex_rows: List[Tuple[Vector, int]] = []
             rays_added = 0
-            for group in chosen:
-                for witness in group:
-                    if witness.kind == "vertex":
-                        statistics.counterexamples += 1
-                        statistics.lp.cex_rows += 1
-                        index = ranking_lp.add_counterexample(witness.vector)
-                        vertex_rows.append((witness.vector, index))
-                    else:
-                        if not witness.vector.is_zero():
-                            statistics.rays += 1
-                            statistics.lp.cex_rows += 1
-                            ranking_lp.add_counterexample(witness.vector)
-                            rays_added += 1
+            for witness in chosen:
+                if witness.kind == "vertex":
+                    statistics.counterexamples += 1
+                    statistics.lp.cex_rows += 1
+                    index = ranking_lp.add_counterexample(witness.vector)
+                    vertex_rows.append((witness.vector, index))
+                elif not witness.vector.is_zero():
+                    statistics.rays += 1
+                    statistics.lp.cex_rows += 1
+                    ranking_lp.add_counterexample(witness.vector)
+                    rays_added += 1
 
             solution = ranking_lp.solve()
             deltas = solution.deltas

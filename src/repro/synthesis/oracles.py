@@ -14,10 +14,9 @@ interchangeable implementations:
 * :class:`DdEnumerationOracle` (``"dd"``) — vertex/ray enumeration: the
   generators of every path polyhedron are computed once per component
   with the double-description method of :mod:`repro.polyhedra.dd` and
-  handed out lazily, most useful with batched refinement.  When no
-  un-consumed generator violates the candidate, exhaustion is *confirmed*
-  with one complete SMT query, so verdicts never depend on the
-  enumeration being lossless.
+  handed out lazily.  When no un-consumed generator violates the
+  candidate, exhaustion is *confirmed* with one complete SMT query, so
+  verdicts never depend on the enumeration being lossless.
 * :class:`SamplingOracle` (``"sampling"``) — seeded sampling: violating
   generators are perturbed into interior (deliberately non-extremal)
   points of their disjunct, exercising the engine on the kind of
@@ -38,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.problem import ONE_COORDINATE, TerminationProblem
-from repro.linalg.matrix import in_span, orthogonal_complement
+from repro.linalg.span import in_span, orthogonal_complement
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint
 from repro.linexpr.expr import LinExpr
@@ -84,7 +83,6 @@ class OracleRequest:
     objective: LinExpr
     flat_basis: Sequence[Vector] = ()
     want_extremal: bool = True
-    max_witnesses: int = 1
 
 
 class CounterexampleOracle(abc.ABC):
@@ -114,8 +112,8 @@ class CounterexampleOracle(abc.ABC):
         after a complete check.
         """
 
-    def consumed(self, groups: Sequence[WitnessGroup]) -> None:
-        """The engine added these groups as LP rows (default: no-op)."""
+    def consumed(self, group: WitnessGroup) -> None:
+        """The engine added this group as LP rows (default: no-op)."""
 
 
 # ---------------------------------------------------------------------------
@@ -463,13 +461,9 @@ class DdEnumerationOracle(CounterexampleOracle):
             if value is None:
                 continue
             groups.append(self._make_group(index, generator, value, request))
-            if (
-                not request.want_extremal
-                and len(groups) >= request.max_witnesses
-            ):
-                # A non-extremal strategy keeps at most max_witnesses
-                # candidates and does not rank them, so further span/dot
-                # checks would be thrown away.
+            if not request.want_extremal:
+                # A non-extremal strategy does not rank the candidates,
+                # so further span/dot checks would be thrown away.
                 break
         if groups:
             self.statistics["candidates"] += len(groups)
@@ -480,11 +474,10 @@ class DdEnumerationOracle(CounterexampleOracle):
         self.statistics["smt_queries"] += 1
         return self._confirmation.find(replace(request, want_extremal=True))
 
-    def consumed(self, groups: Sequence[WitnessGroup]) -> None:
-        for group in groups:
-            for witness in group:
-                if witness.token is not None:
-                    self._generators[witness.token].used = True
+    def consumed(self, group: WitnessGroup) -> None:
+        for witness in group:
+            if witness.token is not None:
+                self._generators[witness.token].used = True
 
 
 # ---------------------------------------------------------------------------

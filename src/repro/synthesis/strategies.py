@@ -1,13 +1,9 @@
-"""Refinement strategies: which counterexamples become LP rows.
+"""Refinement strategies: which counterexample becomes LP rows.
 
-A strategy makes the two decisions the paper's §4.2 ablation is about:
-
-* **which** of the oracle's candidates to refine with — the extremal
-  (most-violating) one, an arbitrary one, or a seeded-random one; and
-* **how many** rows to add per iteration — the paper adds one row per
-  counterexample, the batched variant adds up to ``k`` at once (useful
-  with enumeration oracles, where one query yields many candidates and
-  the warm-started LP absorbs several rows per re-solve).
+A strategy makes the decision the paper's §4.2 ablation is about: which
+of the oracle's candidates to refine with — the extremal (most-violating)
+one, an arbitrary one, or a seeded-random one.  Each iteration refines
+with exactly one candidate group, as in the paper.
 
 A strategy also declares :attr:`~RefinementStrategy.wants_extremal`, so
 the SMT oracle knows whether to run the optimising query or settle for
@@ -18,7 +14,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.synthesis.oracles import WitnessGroup
 
@@ -65,47 +61,37 @@ class RefinementStrategy:
     #: Whether the oracle should optimise (extremal witnesses) or not.
     wants_extremal: bool = False
 
-    def __init__(self, batch: int = 1):
-        if batch < 1:
-            raise ValueError("batch must be >= 1, got %r" % (batch,))
-        self.batch = batch
-
-    def select(self, groups: Sequence[WitnessGroup]) -> List[WitnessGroup]:
-        """Pick up to :attr:`batch` groups to refine with this iteration."""
+    def select(self, groups: Sequence[WitnessGroup]) -> WitnessGroup:
+        """Pick the group to refine with this iteration (*groups* is non-empty)."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return "<%s batch=%d>" % (type(self).__name__, self.batch)
 
 
 class ExtremalStrategy(RefinementStrategy):
-    """The paper's choice: refine with the most extremal counterexamples."""
+    """The paper's choice: refine with the most extremal counterexample."""
 
     name = "extremal"
     wants_extremal = True
 
-    def select(self, groups: Sequence[WitnessGroup]) -> List[WitnessGroup]:
+    def select(self, groups: Sequence[WitnessGroup]) -> WitnessGroup:
         # Canonical tiebreak: equally violating groups would otherwise be
-        # picked by oracle enumeration order, which batched selection
-        # must not depend on.
-        ordered = sorted(
+        # picked by oracle enumeration order.
+        return min(
             groups,
             key=lambda group: (
                 _group_objective(group),
                 _group_canonical_key(group),
             ),
         )
-        return ordered[: self.batch]
 
 
 class ArbitraryStrategy(RefinementStrategy):
-    """First-found counterexamples, no optimisation (the ablation baseline)."""
+    """First-found counterexample, no optimisation (the ablation baseline)."""
 
     name = "arbitrary"
     wants_extremal = False
 
-    def select(self, groups: Sequence[WitnessGroup]) -> List[WitnessGroup]:
-        return list(groups[: self.batch])
+    def select(self, groups: Sequence[WitnessGroup]) -> WitnessGroup:
+        return groups[0]
 
 
 class RandomStrategy(RefinementStrategy):
@@ -114,32 +100,30 @@ class RandomStrategy(RefinementStrategy):
     name = "random"
     wants_extremal = False
 
-    def __init__(self, batch: int = 1, seed: int = 0):
-        super().__init__(batch)
+    def __init__(self, seed: int = 0):
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def select(self, groups: Sequence[WitnessGroup]) -> List[WitnessGroup]:
-        if len(groups) <= self.batch:
-            return list(groups)
+    def select(self, groups: Sequence[WitnessGroup]) -> WitnessGroup:
+        if len(groups) == 1:
+            return groups[0]
         # Sample from a canonically ordered pool: the oracle's enumeration
         # order is an implementation detail (hash ordering, solver model
         # order), and sampling from it directly would let ``oracle_seed``
         # pin the RNG without pinning the run.
-        ordered = sorted(groups, key=_group_canonical_key)
-        return self._rng.sample(ordered, self.batch)
+        return self._rng.choice(sorted(groups, key=_group_canonical_key))
 
 
-def make_strategy(name, batch: int = 1, seed: int = 0) -> RefinementStrategy:
+def make_strategy(name, seed: int = 0) -> RefinementStrategy:
     """Resolve a strategy name (or pass an instance through unchanged)."""
     if isinstance(name, RefinementStrategy):
         return name
     if name == "extremal":
-        return ExtremalStrategy(batch)
+        return ExtremalStrategy()
     if name == "arbitrary":
-        return ArbitraryStrategy(batch)
+        return ArbitraryStrategy()
     if name == "random":
-        return RandomStrategy(batch, seed=seed)
+        return RandomStrategy(seed=seed)
     raise ValueError(
         "unknown counterexample strategy %r (available: %s)"
         % (name, ", ".join(STRATEGY_NAMES))

@@ -6,11 +6,9 @@ from repro.api import (
     Analysis,
     AnalysisConfig,
     STAGES,
-    analyze,
     analyze_many,
 )
 from repro.api.pipeline import run_tools_on_program
-from repro.core import TerminationProver
 from repro.frontend import compile_program
 
 COUNTDOWN = "var x; while (x > 0) { x = x - 1; }"
@@ -103,13 +101,6 @@ class TestProblemCache:
         result = Analysis(automaton).run("termite")
         assert result.stage_seconds("frontend") == 0.0
         assert result.proved
-
-    def test_matches_legacy_prover(self):
-        automaton = compile_program(NESTED, "nested")
-        legacy = TerminationProver(automaton).prove()
-        modern = analyze(compile_program(NESTED, "nested"), tool="termite")
-        assert legacy.proved == modern.proved is True
-        assert legacy.dimension == modern.dimension
 
     def test_rejects_unknown_program_type(self):
         with pytest.raises(TypeError):

@@ -9,7 +9,7 @@ from repro.core.ranking import (
     LexicographicRankingFunction,
     lexicographic_decreases,
 )
-from repro.core.termination import TerminationProver
+from repro.api import Analysis, AnalysisConfig
 from repro.linalg.vector import Vector
 
 
@@ -56,14 +56,15 @@ class TestRankingObjects:
 
 class TestCertificate:
     def test_valid_certificate_accepted(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
-        result = prover.prove()
+        analysis = Analysis(
+            example1_automaton, config=AnalysisConfig(check_certificates=False)
+        )
+        problem = analysis.problem()
+        result = analysis.run("termite")
         assert check_certificate(problem, result.ranking)
 
     def test_bogus_certificate_rejected_decrease(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = Analysis(example1_automaton).problem()
         bogus = LexicographicRankingFunction(
             [
                 AffineRankingFunction(
@@ -76,8 +77,7 @@ class TestCertificate:
         assert not check_certificate(problem, bogus)
 
     def test_bogus_certificate_rejected_nonnegative(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = Analysis(example1_automaton).problem()
         bogus = LexicographicRankingFunction(
             [
                 AffineRankingFunction(
@@ -90,6 +90,5 @@ class TestCertificate:
         assert not check_certificate(problem, bogus)
 
     def test_empty_ranking_only_for_acyclic(self, example1_automaton):
-        prover = TerminationProver(example1_automaton, check_certificates=False)
-        problem = prover.build_problem()
+        problem = Analysis(example1_automaton).problem()
         assert not check_certificate(problem, LexicographicRankingFunction([]))

@@ -12,15 +12,35 @@ the bit-exactness check.
 
 import pytest
 
+from repro.api import Analysis, AnalysisConfig, analyze
 from repro.benchsuite import get_suite
 from repro.core.lp_instance import LP_MODES, LpStatistics, RankingLp
-from repro.core.monodim import synthesize_monodim
-from repro.core.multidim import synthesize_multidim
-from repro.core.termination import TerminationProver
+from repro.synthesis.engine import CegisEngine
+from repro.synthesis.oracles import make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def _problem(automaton):
-    return TerminationProver(automaton, check_certificates=False).build_problem()
+    return Analysis(automaton, config=AnalysisConfig(check_certificates=False)).problem()
+
+
+def _engine(lp_mode):
+    return CegisEngine(make_oracle("smt"), make_strategy("extremal"), lp_mode=lp_mode)
+
+
+def synthesize_component(problem, lp_mode="incremental"):
+    return _engine(lp_mode).synthesize_component(LinearTemplate(problem))
+
+
+def synthesize_lexicographic(problem, lp_mode="incremental", lp_statistics=None):
+    return _engine(lp_mode).synthesize_lexicographic(
+        LexicographicTemplate(problem), lp_statistics=lp_statistics
+    )
+
+
+def _prove(automaton, **config):
+    return analyze(automaton, tool="termite", config=AnalysisConfig(**config))
 
 
 class TestRankingLpModes:
@@ -63,7 +83,7 @@ class TestAuditModeAcrossTheLoop:
 
     def test_monodim_loop_audits_clean(self, example1_automaton):
         problem = _problem(example1_automaton)
-        result = synthesize_monodim(problem, lp_mode="audit")
+        result = synthesize_component(problem, lp_mode="audit")
         lp = result.statistics.lp
         assert lp.pivots_saved >= 0
         assert lp.warm_solves + lp.cold_solves == lp.instances
@@ -71,7 +91,9 @@ class TestAuditModeAcrossTheLoop:
     def test_multidim_loop_audits_clean(self, lexicographic_automaton):
         problem = _problem(lexicographic_automaton)
         shared = LpStatistics()
-        result = synthesize_multidim(problem, lp_mode="audit", lp_statistics=shared)
+        result = synthesize_lexicographic(
+            problem, lp_mode="audit", lp_statistics=shared
+        )
         assert result.success
         assert shared.instances >= 1
 
@@ -79,9 +101,9 @@ class TestAuditModeAcrossTheLoop:
     def test_provers_audit_clean_on_benchmarks(self, suite, count):
         warm_solves = 0
         for program in get_suite(suite)[:count]:
-            result = TerminationProver(
+            result = _prove(
                 program.build(), check_certificates=False, lp_mode="audit"
-            ).prove()
+            )
             assert result.status in ("terminating", "unknown")
             assert result.lp_statistics.pivots_saved >= 0
             warm_solves += result.lp_statistics.warm_solves
@@ -97,12 +119,12 @@ class TestVerdictsAndSavings:
         total_warm = total_cold = 0
         for suite in ("termcomp", "wtc"):
             for program in get_suite(suite)[:6]:
-                warm = TerminationProver(
+                warm = _prove(
                     program.build(), check_certificates=True, lp_mode="incremental"
-                ).prove()
-                cold = TerminationProver(
+                )
+                cold = _prove(
                     program.build(), check_certificates=True, lp_mode="cold"
-                ).prove()
+                )
                 assert warm.proved == cold.proved, program.name
                 total_warm += warm.lp_statistics.pivots
                 total_cold += cold.lp_statistics.pivots
@@ -110,7 +132,7 @@ class TestVerdictsAndSavings:
 
     def test_monodim_statistics_carry_lp_counters(self, countdown_automaton):
         problem = _problem(countdown_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         lp = result.statistics.lp
         assert lp.instances >= 1
         assert lp.cold_solves >= 1
@@ -122,7 +144,7 @@ class TestVerdictsAndSavings:
     ):
         problem = _problem(lexicographic_automaton)
         shared = LpStatistics()
-        result = synthesize_multidim(problem, lp_statistics=shared)
+        result = synthesize_lexicographic(problem, lp_statistics=shared)
         assert result.success
         per_component = LpStatistics()
         for component in result.components:
@@ -135,9 +157,9 @@ class TestVerdictsAndSavings:
 class TestStatisticsSurviveIterationBudget:
     def test_lp_statistics_merged_when_budget_blows(self, example3_automaton):
         """Hitting max_iterations must not lose the LP work already done."""
-        result = TerminationProver(
+        result = _prove(
             example3_automaton, check_certificates=False, max_iterations=1
-        ).prove()
+        )
         assert result.status == "unknown"
         assert result.lp_statistics.instances >= 1
         assert result.lp_statistics.cold_solves >= 1

@@ -1,48 +1,63 @@
-"""Tests for Algorithms 1–3 at the API level (below the prover driver)."""
+"""Tests for Algorithms 1–3 at the engine level (below the prover driver)."""
 
 
 import pytest
 
-from repro.core.monodim import synthesize_monodim
-from repro.core.multidim import synthesize_multidim
-from repro.synthesis.oracles import avoid_space
-from repro.core.termination import TerminationProver
+from repro.api import Analysis
 from repro.linalg.vector import Vector
 from repro.smt.solver import SmtSolver
+from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
+from repro.synthesis.oracles import avoid_space, make_oracle
+from repro.synthesis.strategies import make_strategy
+from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
-    return TerminationProver(automaton).build_problem()
+    return Analysis(automaton).problem()
+
+
+def synthesize_component(problem, max_iterations=200):
+    """Algorithm 1/3 with the paper's pieces: smt oracle, extremal strategy."""
+    engine = CegisEngine(
+        make_oracle("smt"), make_strategy("extremal"), max_iterations=max_iterations
+    )
+    return engine.synthesize_component(LinearTemplate(problem))
+
+
+def synthesize_lexicographic(problem, max_dimension=None):
+    """Algorithm 2 with the paper's pieces."""
+    engine = CegisEngine(make_oracle("smt"), make_strategy("extremal"))
+    return engine.synthesize_lexicographic(
+        LexicographicTemplate(problem, max_dimension=max_dimension)
+    )
 
 
 class TestMonodim:
     def test_example1_strict_component(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         assert result.strict
         assert not result.is_trivial
         assert result.statistics.counterexamples >= 1
 
     def test_stutter_gives_non_strict(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         assert not result.strict
 
     def test_lexicographic_needs_more_than_one_dimension(
         self, lexicographic_automaton
     ):
         problem = build_problem(lexicographic_automaton)
-        result = synthesize_monodim(problem)
+        result = synthesize_component(problem)
         # A single component cannot strictly decrease both transitions unless
         # it cleverly combines them; either way it must be a quasi component.
         assert result.ranking is not None
 
     def test_iteration_budget_enforced(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        from repro.core.monodim import MaxIterationsExceeded
-
         with pytest.raises(MaxIterationsExceeded):
-            synthesize_monodim(problem, max_iterations=0)
+            synthesize_component(problem, max_iterations=0)
 
 
 class TestAvoidSpace:
@@ -88,24 +103,24 @@ class TestAvoidSpace:
 class TestMultidim:
     def test_example1_dimension_one(self, example1_automaton):
         problem = build_problem(example1_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert outcome.success
         assert outcome.dimension == 1
 
     def test_lexicographic_success(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert outcome.success
         assert 1 <= outcome.dimension <= 2
 
     def test_failure_reported(self, stutter_automaton):
         problem = build_problem(stutter_automaton)
-        outcome = synthesize_multidim(problem)
+        outcome = synthesize_lexicographic(problem)
         assert not outcome.success
         assert outcome.ranking is None
 
     def test_max_dimension_cap(self, lexicographic_automaton):
         problem = build_problem(lexicographic_automaton)
-        outcome = synthesize_multidim(problem, max_dimension=1)
+        outcome = synthesize_lexicographic(problem, max_dimension=1)
         # With the cap at 1 the synthesis either finds a 1-D witness or fails.
         assert outcome.dimension <= 1

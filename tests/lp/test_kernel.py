@@ -4,8 +4,7 @@
 optimal value, same assignment, and the *same pivot sequence* (asserted
 through the pivot count) as ``kernel="exact"`` on every instance.  The
 warm-start path additionally gets the batched-repair guarantees under
-test here: ``cex_batch = k`` rows appended between solves pay **one**
-dual repair pass, and an objective change touching only nonbasic columns
+test here: k rows appended between solves pay **one** dual repair pass, and an objective change touching only nonbasic columns
 is repriced incrementally instead of re-eliminating the cost row.
 """
 

@@ -3,7 +3,7 @@
 Covers the three guarantees of :mod:`repro.reporting.parallel` (hard
 timeouts, crash isolation, deterministic ordering) plus the runner-level
 robustness requirements: a crashing or hanging benchmark records a failed
-:class:`ProgramOutcome` instead of aborting the table, empty/filtered
+:class:`~repro.api.AnalysisResult` instead of aborting the table, empty/filtered
 suites produce empty reports, and the JSON serialisation round-trips.
 """
 

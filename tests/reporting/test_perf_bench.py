@@ -28,7 +28,6 @@ EXPECTED_SUITES = {
     "table1_wtc",
     "cegis_ablation",
     "kernel_packed",
-    "cex_batch_ablation",
     "kernel_crossover",
 }
 

@@ -23,7 +23,6 @@ class TestConfigValidation:
         config = AnalysisConfig()
         assert config.cex_oracle == "smt"
         assert config.cex_strategy == "extremal"
-        assert config.cex_batch == 1
         assert config.oracle_seed == 0
 
     def test_unknown_oracle_rejected(self):
@@ -34,11 +33,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="cex_strategy"):
             AnalysisConfig(cex_strategy="greedy")
 
-    def test_batch_must_be_positive_int(self):
+    def test_cex_batch_is_rejected(self):
+        # Every iteration refines with one counterexample; a config that
+        # still names a batch size fails loudly instead of being ignored.
+        with pytest.raises(TypeError):
+            AnalysisConfig(cex_batch=1)
         with pytest.raises(ConfigError, match="cex_batch"):
-            AnalysisConfig(cex_batch=0)
-        with pytest.raises(ConfigError, match="cex_batch"):
-            AnalysisConfig(cex_batch=True)
+            AnalysisConfig.from_dict({"cex_batch": 1})
 
     def test_seed_must_be_nonnegative(self):
         with pytest.raises(ConfigError, match="oracle_seed"):
@@ -51,7 +52,6 @@ class TestJsonRoundTrip:
         config = AnalysisConfig(
             cex_oracle=oracle,
             cex_strategy=strategy,
-            cex_batch=3,
             oracle_seed=17,
         )
         assert (
@@ -73,8 +73,6 @@ class TestCliRoundTrip:
                 oracle,
                 "--cex-strategy",
                 strategy,
-                "--cex-batch",
-                "2",
                 "--oracle-seed",
                 "9",
             ]
@@ -82,7 +80,6 @@ class TestCliRoundTrip:
         config = _config_from_arguments(arguments)
         assert config.cex_oracle == oracle
         assert config.cex_strategy == strategy
-        assert config.cex_batch == 2
         assert config.oracle_seed == 9
 
     def test_config_file_baseline_with_flag_override(self, tmp_path):
@@ -154,13 +151,44 @@ class TestPipelineEngineObservers:
 
 
 class TestRemovedAliases:
-    """The PR-5 deprecation shims are gone; repro.synthesis is the one path."""
+    """The deprecation shims are gone; repro.synthesis is the one path."""
 
     def test_core_avoid_space_alias_removed(self):
-        import repro.core.monodim as monodim
+        import importlib.util
 
-        assert not hasattr(monodim, "avoid_space")
+        assert importlib.util.find_spec("repro.core.monodim") is None
         from repro.synthesis.oracles import avoid_space  # noqa: F401
+
+    def test_compatibility_layer_removed(self):
+        import importlib.util
+
+        import repro
+        import repro.core
+        import repro.linalg
+        import repro.reporting
+
+        for module in (
+            "repro.core.termination",
+            "repro.core.monodim",
+            "repro.core.multidim",
+            "repro.linalg.matrix",
+        ):
+            assert importlib.util.find_spec(module) is None, module
+        for package, name in (
+            (repro, "TerminationProver"),
+            (repro, "TerminationResult"),
+            (repro, "prove_termination"),
+            (repro.core, "synthesize_monodim"),
+            (repro.core, "synthesize_multidim"),
+            (repro.reporting, "ProgramOutcome"),
+            (repro.linalg, "Matrix"),
+            (repro.linalg, "complete_basis"),
+            (repro.linalg, "linearly_independent"),
+        ):
+            assert not hasattr(package, name), name
+        from repro.linalg import in_span, orthogonal_complement  # noqa: F401
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["prove", "p.imp", "--cex-batch", "2"])
 
     def test_eager_generator_aliases_removed(self):
         import repro.baselines.eager_generators as eager

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.termination import TerminationProver
+from repro.api import Analysis
 from repro.synthesis.engine import (
     CegisEngine,
     MaxIterationsExceeded,
@@ -14,14 +14,14 @@ from repro.synthesis.templates import LexicographicTemplate, LinearTemplate
 
 
 def build_problem(automaton):
-    return TerminationProver(automaton).build_problem()
+    return Analysis(automaton).problem()
 
 
 def make_engine(observers=(), max_iterations=200, oracle="smt",
-                strategy="extremal", batch=1):
+                strategy="extremal"):
     return CegisEngine(
         make_oracle(oracle),
-        make_strategy(strategy, batch=batch),
+        make_strategy(strategy),
         max_iterations=max_iterations,
         observers=observers,
     )
@@ -184,7 +184,7 @@ class TestSeedDeterminism:
         events = []
         engine = CegisEngine(
             make_oracle("dd", seed=seed),
-            make_strategy("random", batch=2, seed=seed),
+            make_strategy("random", seed=seed),
             max_iterations=200,
             observers=[events.append],
         )
@@ -212,7 +212,7 @@ class TestSeedDeterminism:
             events = []
             engine = CegisEngine(
                 make_oracle("sampling", seed=5),
-                make_strategy("random", batch=2, seed=5),
+                make_strategy("random", seed=5),
                 max_iterations=200,
                 observers=[events.append],
             )

@@ -5,7 +5,7 @@ Two properties anchor the pluggable engine to the paper's algorithm:
 * **Verdict identity** — swapping the counterexample *oracle* (SMT
   extremal search → DD enumeration → seeded sampling) never changes a
   verdict: both alternative oracles back exhaustion with a complete SMT
-  check, so every oracle × strategy × batch combination built on them is
+  check, so every oracle × strategy combination built on them is
   verdict-identical to the seed extremal path on the whole corpus.
 * **Soundness under ablation** — the non-extremal *strategies* on the
   SMT oracle (``arbitrary``/``random``) are the paper's §4.2 ablation:
@@ -34,25 +34,19 @@ CORPUS = load_corpus("tests/corpus")
 
 #: Combinations that must be verdict-identical to the seed extremal path.
 IDENTICAL_COMBOS = [
-    ("smt", "extremal", 1),
-    ("smt", "extremal", 4),
-    ("dd", "extremal", 1),
-    ("dd", "arbitrary", 1),
-    ("dd", "random", 1),
-    ("dd", "extremal", 4),
-    ("dd", "arbitrary", 4),
-    ("dd", "random", 4),
-    ("sampling", "extremal", 1),
-    ("sampling", "arbitrary", 1),
-    ("sampling", "random", 1),
-    ("sampling", "random", 4),
+    ("smt", "extremal"),
+    ("dd", "extremal"),
+    ("dd", "arbitrary"),
+    ("dd", "random"),
+    ("sampling", "extremal"),
+    ("sampling", "arbitrary"),
+    ("sampling", "random"),
 ]
 
 #: The §4.2 ablation: may diverge, but only soundly.
 ABLATION_COMBOS = [
-    ("smt", "arbitrary", 1),
-    ("smt", "random", 1),
-    ("smt", "arbitrary", 4),
+    ("smt", "arbitrary"),
+    ("smt", "random"),
 ]
 
 BASE_CONFIG = AnalysisConfig(
@@ -78,28 +72,20 @@ def baseline():
 
 
 class TestVerdictIdentity:
-    @pytest.mark.parametrize("oracle,strategy,batch", IDENTICAL_COMBOS)
-    def test_combo_matches_seed_extremal_path(
-        self, baseline, oracle, strategy, batch
-    ):
-        config = BASE_CONFIG.replace(
-            cex_oracle=oracle, cex_strategy=strategy, cex_batch=batch
-        )
+    @pytest.mark.parametrize("oracle,strategy", IDENTICAL_COMBOS)
+    def test_combo_matches_seed_extremal_path(self, baseline, oracle, strategy):
+        config = BASE_CONFIG.replace(cex_oracle=oracle, cex_strategy=strategy)
         for name, (status, _, _) in run_corpus(config).items():
             assert status == baseline[name][0], (
-                "%s: %s/%s/batch=%d gave %s, seed extremal path gave %s"
-                % (name, oracle, strategy, batch, status, baseline[name][0])
+                "%s: %s/%s gave %s, seed extremal path gave %s"
+                % (name, oracle, strategy, status, baseline[name][0])
             )
 
 
 class TestAblationSoundness:
-    @pytest.mark.parametrize("oracle,strategy,batch", ABLATION_COMBOS)
-    def test_divergence_is_only_ever_sound(
-        self, baseline, oracle, strategy, batch
-    ):
-        config = BASE_CONFIG.replace(
-            cex_oracle=oracle, cex_strategy=strategy, cex_batch=batch
-        )
+    @pytest.mark.parametrize("oracle,strategy", ABLATION_COMBOS)
+    def test_divergence_is_only_ever_sound(self, baseline, oracle, strategy):
+        config = BASE_CONFIG.replace(cex_oracle=oracle, cex_strategy=strategy)
         for name, (status, ranking, problem) in run_corpus(config).items():
             base_status = baseline[name][0]
             if status == base_status:
@@ -129,9 +115,7 @@ class TestFuzzSeedZero:
     )
     def test_no_soundness_violations(self, oracle, strategy):
         config = default_fuzz_config().replace(
-            cex_oracle=oracle,
-            cex_strategy=strategy,
-            cex_batch=1 if strategy == "extremal" else 2,
+            cex_oracle=oracle, cex_strategy=strategy
         )
         report = fuzz(
             seed=0, count=20, tools=["termite"], config=config, shrink=False

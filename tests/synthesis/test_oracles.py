@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.termination import TerminationProver
+from repro.api import Analysis
 from repro.linexpr.constraint import Relation
 from repro.synthesis.oracles import (
     DdEnumerationOracle,
@@ -19,8 +19,7 @@ from repro.synthesis.templates import LinearTemplate
 
 
 def template_for(automaton):
-    problem = TerminationProver(automaton).build_problem()
-    return LinearTemplate(problem)
+    return LinearTemplate(Analysis(automaton).problem())
 
 
 def zero_request(template, **overrides):
@@ -29,7 +28,6 @@ def zero_request(template, **overrides):
         objective=template.objective(template.initial_candidate()),
         flat_basis=[],
         want_extremal=True,
-        max_witnesses=1,
     )
     defaults.update(overrides)
     return OracleRequest(**defaults)
@@ -68,7 +66,7 @@ class TestDdOracle:
         template = template_for(countdown_automaton)
         oracle = DdEnumerationOracle()
         oracle.reset(template, ())
-        groups = oracle.find(zero_request(template, max_witnesses=8))
+        groups = oracle.find(zero_request(template))
         assert groups
         names = template.problem.difference_variables()
         for group in groups:
@@ -85,9 +83,9 @@ class TestDdOracle:
         template = template_for(countdown_automaton)
         oracle = DdEnumerationOracle()
         oracle.reset(template, ())
-        request = zero_request(template, max_witnesses=64)
-        first = oracle.find(request)
-        oracle.consumed(first)
+        request = zero_request(template)
+        for group in oracle.find(request):
+            oracle.consumed(group)
         second = oracle.find(request)
         # Everything enumerable was consumed; anything further must come
         # from the SMT confirmation path (origin "smt"), or be empty.
@@ -124,7 +122,7 @@ class TestSamplingOracle:
         template = template_for(example1_automaton)
         oracle = SamplingOracle(seed=0)
         oracle.reset(template, ())
-        request = zero_request(template, max_witnesses=16)
+        request = zero_request(template)
         groups = oracle.find(request)
         assert groups
         names = template.problem.difference_variables()
@@ -140,7 +138,7 @@ class TestSamplingOracle:
 
     def test_same_seed_same_samples(self, example1_automaton):
         template = template_for(example1_automaton)
-        request = zero_request(template, max_witnesses=16)
+        request = zero_request(template)
 
         def run(seed):
             oracle = SamplingOracle(seed=seed)
@@ -156,7 +154,7 @@ class TestSamplingOracle:
 class TestStateSpaceTranslation:
     def test_flatness_constraint_translates_exactly(self, example1_automaton):
         """λ·u = 0 over u-variables becomes the same linear fact in state space."""
-        problem = TerminationProver(example1_automaton).build_problem()
+        problem = Analysis(example1_automaton).problem()
         template = LinearTemplate(problem)
         # Use a non-trivial candidate: rank by x + 2y at the cut point.
         from repro.core.ranking import AffineRankingFunction

@@ -1,4 +1,4 @@
-"""Strategy selection policies and batching."""
+"""Strategy selection policies: one witness group per iteration."""
 
 from fractions import Fraction
 
@@ -29,9 +29,8 @@ GROUPS = [group(-1), group(-5), group(-3), group(0)]
 
 class TestExtremal:
     def test_picks_most_violating_first(self):
-        chosen = ExtremalStrategy(batch=2).select(GROUPS)
-        values = [g[0].objective_value for g in chosen]
-        assert values == [Fraction(-5), Fraction(-3)]
+        chosen = ExtremalStrategy().select(GROUPS)
+        assert chosen[0].objective_value == Fraction(-5)
 
     def test_declares_extremal_intent(self):
         assert ExtremalStrategy().wants_extremal
@@ -40,41 +39,37 @@ class TestExtremal:
 
     def test_groups_without_value_sort_last(self):
         anonymous = [Witness(vector=Vector([Fraction(0)]), kind="vertex")]
-        chosen = ExtremalStrategy(batch=1).select([anonymous, group(-2)])
-        assert chosen[0][0].objective_value == Fraction(-2)
+        chosen = ExtremalStrategy().select([anonymous, group(-2)])
+        assert chosen[0].objective_value == Fraction(-2)
 
 
 class TestArbitrary:
     def test_takes_first_in_order(self):
-        chosen = ArbitraryStrategy(batch=2).select(GROUPS)
-        values = [g[0].objective_value for g in chosen]
-        assert values == [Fraction(-1), Fraction(-5)]
+        assert ArbitraryStrategy().select(GROUPS) is GROUPS[0]
 
 
 class TestRandom:
     def test_seeded_and_reproducible(self):
-        first = RandomStrategy(batch=2, seed=11).select(GROUPS)
-        second = RandomStrategy(batch=2, seed=11).select(GROUPS)
-        assert [g[0].objective_value for g in first] == [
-            g[0].objective_value for g in second
-        ]
+        first = RandomStrategy(seed=11).select(GROUPS)
+        second = RandomStrategy(seed=11).select(GROUPS)
+        assert first[0].objective_value == second[0].objective_value
 
     def test_small_pool_returned_whole(self):
-        assert RandomStrategy(batch=5, seed=0).select(GROUPS) == list(GROUPS)
+        assert RandomStrategy(seed=0).select(GROUPS[:1]) is GROUPS[0]
 
     def test_seed_pins_selection_across_pool_orders(self):
         """The oracle's enumeration order must not influence sampling.
 
         The strategy sorts the pool by a canonical content key before
-        sampling, so the same seed picks the same *witnesses* no matter
+        sampling, so the same seed picks the same *witness* no matter
         how the oracle happened to order its candidates.
         """
         import itertools
 
         baseline = None
         for permutation in itertools.permutations(GROUPS):
-            chosen = RandomStrategy(batch=2, seed=7).select(list(permutation))
-            picked = sorted(g[0].objective_value for g in chosen)
+            chosen = RandomStrategy(seed=7).select(list(permutation))
+            picked = chosen[0].objective_value
             if baseline is None:
                 baseline = picked
             assert picked == baseline
@@ -97,26 +92,26 @@ class TestBatchedExtremalDeterminism:
         ]
         baseline = None
         for permutation in itertools.permutations(tied):
-            chosen = ExtremalStrategy(batch=2).select(list(permutation))
-            vectors = [g[0].vector for g in chosen]
+            chosen = ExtremalStrategy().select(list(permutation))
             if baseline is None:
-                baseline = vectors
-            assert vectors == baseline
+                baseline = chosen[0].vector
+            assert chosen[0].vector == baseline
 
 
 class TestFactory:
     def test_batch_validation(self):
-        with pytest.raises(ValueError, match="batch"):
-            make_strategy("extremal", batch=0)
+        # One group per iteration: the factory takes no batch size.
+        with pytest.raises(TypeError):
+            make_strategy("extremal", batch=2)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown counterexample strategy"):
             make_strategy("greedy")
 
     def test_instances_pass_through(self):
-        instance = RandomStrategy(batch=3, seed=5)
+        instance = RandomStrategy(seed=5)
         assert make_strategy(instance) is instance
 
     def test_names_resolve(self):
         for name in ("extremal", "arbitrary", "random"):
-            assert make_strategy(name, batch=2).name == name
+            assert make_strategy(name).name == name
