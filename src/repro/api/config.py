@@ -71,7 +71,8 @@ class AnalysisConfig:
     smt_mode: str = SearchMode.LOCAL.value
     #: How ``LP(V, Constraints(I))`` is re-solved across counterexample
     #: iterations: ``"incremental"`` (warm-started persistent tableau),
-    #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (both + cross-check).
+    #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (both + cross-check;
+    #: also re-checks every incremental SMT conflict core cold).
     lp_mode: str = "incremental"
     #: Row representation of the simplex/projection kernels:
     #: ``"packed"`` (fixed-width numpy int64 rows with exact fallback on

@@ -119,6 +119,7 @@ class TermiteProver(Prover):
             smt_mode=config.search_mode,
             max_dimension=config.max_dimension,
             kernel=config.kernel,
+            lp_mode=config.lp_mode,
         )
         engine = CegisEngine(
             make_oracle(config.cex_oracle, seed=config.oracle_seed),

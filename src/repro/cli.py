@@ -970,7 +970,8 @@ def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
         "counterexample iterations: 'incremental' warm-starts from the "
         "previous optimal basis, 'cold' rebuilds from scratch (the "
         "ablation baseline), 'audit' does both and cross-checks the "
-        "optima (default: incremental)",
+        "optima, and re-checks every SMT theory conflict core cold "
+        "(default: incremental)",
     )
     parser.add_argument(
         "--kernel",

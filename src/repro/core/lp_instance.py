@@ -84,6 +84,15 @@ class LpStatistics:
     stacked_pivots: int = 0
     row_pivots: int = 0
     overflow_fallbacks: int = 0
+    #: Lazy-SMT counters of the counterexample oracle's queries (summed
+    #: from :attr:`repro.smt.solver.SmtSolver.statistics`): boolean models
+    #: proposed by the SAT core, incremental theory checks, conflicts
+    #: blocked, literals in their cores, and theory-simplex pivots.
+    smt_sat_calls: int = 0
+    smt_theory_checks: int = 0
+    smt_theory_conflicts: int = 0
+    smt_core_literals: int = 0
+    smt_theory_pivots: int = 0
 
     def record(self, rows: int, cols: int) -> None:
         self.instances += 1
@@ -99,6 +108,14 @@ class LpStatistics:
             self.warm_solves += 1
         else:
             self.cold_solves += 1
+
+    def record_smt(self, counters: Dict[str, int]) -> None:
+        """Add :data:`repro.smt.solver.SMT_COUNTERS` values to the smt_* fields."""
+        self.smt_sat_calls += counters.get("sat_calls", 0)
+        self.smt_theory_checks += counters.get("theory_calls", 0)
+        self.smt_theory_conflicts += counters.get("theory_conflicts", 0)
+        self.smt_core_literals += counters.get("core_literals", 0)
+        self.smt_theory_pivots += counters.get("theory_pivots", 0)
 
     @property
     def average_rows(self) -> float:
@@ -150,6 +167,11 @@ class LpStatistics:
             "stacked_pivots": self.stacked_pivots,
             "row_pivots": self.row_pivots,
             "overflow_fallbacks": self.overflow_fallbacks,
+            "smt_sat_calls": self.smt_sat_calls,
+            "smt_theory_checks": self.smt_theory_checks,
+            "smt_theory_conflicts": self.smt_theory_conflicts,
+            "smt_core_literals": self.smt_core_literals,
+            "smt_theory_pivots": self.smt_theory_pivots,
             "average_rows": self.average_rows,
             "average_cols": self.average_cols,
             "kernel_chosen": self.kernel_chosen,
@@ -177,6 +199,11 @@ class LpStatistics:
             stacked_pivots=data.get("stacked_pivots", 0),
             row_pivots=data.get("row_pivots", 0),
             overflow_fallbacks=data.get("overflow_fallbacks", 0),
+            smt_sat_calls=data.get("smt_sat_calls", 0),
+            smt_theory_checks=data.get("smt_theory_checks", 0),
+            smt_theory_conflicts=data.get("smt_theory_conflicts", 0),
+            smt_core_literals=data.get("smt_core_literals", 0),
+            smt_theory_pivots=data.get("smt_theory_pivots", 0),
         )
 
     def merge(self, other: "LpStatistics") -> None:
@@ -198,6 +225,11 @@ class LpStatistics:
         self.stacked_pivots += other.stacked_pivots
         self.row_pivots += other.row_pivots
         self.overflow_fallbacks += other.overflow_fallbacks
+        self.smt_sat_calls += other.smt_sat_calls
+        self.smt_theory_checks += other.smt_theory_checks
+        self.smt_theory_conflicts += other.smt_theory_conflicts
+        self.smt_core_literals += other.smt_core_literals
+        self.smt_theory_pivots += other.smt_theory_pivots
 
 
 @dataclass

@@ -333,6 +333,7 @@ class WorkerPool:
         self._slot_streak = [0] * self._jobs
         self._slot_lost = [False] * self._jobs
         self._hung_kills = 0
+        self._submitted = 0
         self._timers: List[threading.Timer] = []
         for slot in range(self._jobs):
             self._idle.put(self._spawn(slot))
@@ -446,12 +447,15 @@ class WorkerPool:
                 "respawns": sum(self._slot_respawns),
                 "respawn_budget": self.respawn_budget,
                 "hung_kills": self._hung_kills,
+                "tasks_submitted": self._submitted,
             }
 
     # -- execution ---------------------------------------------------------------
 
     def submit(self, message: Any, timeout: Optional[float] = None) -> TaskResult:
         """Run *message* through one worker; always returns an envelope."""
+        with self._lock:
+            self._submitted += 1
         worker = self._lease()
         if worker is None:
             with self._lock:

@@ -12,12 +12,14 @@ This is the reproduction's stand-in for Z3: the synthesis algorithm needs
 Architecture (classic lazy SMT / DPLL(T)):
 
 ``formula → NNF → Tseitin CNF (DAG-shared) → CDCL SAT core``; every
-boolean model is checked for theory consistency by an exact-simplex
-theory solver; theory conflicts are returned as unsat cores and blocked.
-Integer variables are handled by branch-and-bound inside the theory
-solver.
+boolean model is checked by the solver's one incremental bound-based
+simplex (:class:`LraSolver`), whose Farkas-row conflict cores are
+blocked; a consistent assignment gets its model from one cold
+:func:`check_conjunction`, which also runs branch-and-bound for integer
+variables.
 """
 
+from repro.smt.lra import LraSolver, TheoryMismatch
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus
 from repro.smt.optimize import OptimizationResult, OptimizingSmtSolver
 from repro.smt.theory import TheoryResult, check_conjunction
@@ -30,4 +32,6 @@ __all__ = [
     "OptimizationResult",
     "TheoryResult",
     "check_conjunction",
+    "LraSolver",
+    "TheoryMismatch",
 ]

@@ -6,10 +6,15 @@ linear-arithmetic theory solver (:mod:`repro.smt.theory`):
 
 1. the asserted formulas are Tseitin-encoded,
 2. the SAT core proposes a boolean model,
-3. the linear atoms assigned by that model are checked for consistency,
-4. an inconsistent assignment is blocked through its (minimised) unsat
-   core, and the loop continues until either a theory-consistent model is
-   found or the propositional abstraction becomes unsatisfiable.
+3. the linear atoms assigned by that model are checked for consistency
+   by the solver's one incremental :class:`~repro.smt.lra.LraSolver`,
+4. an inconsistent assignment is blocked through the Farkas-row core of
+   the conflict, and the loop continues until either a theory-consistent
+   assignment is found or the propositional abstraction becomes
+   unsatisfiable,
+5. a consistent assignment gets its model from one cold
+   :func:`~repro.smt.theory.check_conjunction` (δ-maximising, and exact
+   over integer variables).
 """
 
 from __future__ import annotations
@@ -32,8 +37,18 @@ from repro.linexpr.formula import (
 )
 from repro.linexpr.transform import formula_variables, to_nnf
 from repro.smt.cnf import CnfEncoder
+from repro.smt.lra import LraSolver, TheoryMismatch
 from repro.smt.sat import SatSolver
 from repro.smt.theory import check_conjunction
+
+#: The counters of :attr:`SmtSolver.statistics`, summed by the layers above.
+SMT_COUNTERS = (
+    "sat_calls",
+    "theory_calls",
+    "theory_conflicts",
+    "core_literals",
+    "theory_pivots",
+)
 
 
 class SmtStatus(enum.Enum):
@@ -65,30 +80,27 @@ class SmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         max_theory_iterations: int = 10_000,
-        core_minimization_limit: int = 12,
         kernel: str = "exact",
+        lp_mode: str = "incremental",
     ):
         self._sat = SatSolver()
         self._kernel = kernel
+        # Under lp_mode="audit" every incremental conflict core is
+        # re-checked by the cold theory check.
+        self._audit = lp_mode == "audit"
         self._encoder = CnfEncoder(self._sat)
         self._integer_variables: Set[str] = set(integer_variables or ())
+        self._theory = LraSolver(self._integer_variables)
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
         self._max_theory_iterations = max_theory_iterations
-        # Deletion-based core minimisation costs one LP per constraint; past
-        # this size the raw conflict is blocked instead, which is cheaper
-        # overall because justified conflicts are already path-sized.
-        self._core_minimization_limit = core_minimization_limit
-        self.statistics: Dict[str, int] = {
-            "sat_calls": 0,
-            "theory_calls": 0,
-            "theory_conflicts": 0,
-        }
+        self.statistics: Dict[str, int] = dict.fromkeys(SMT_COUNTERS, 0)
 
     # -- problem construction ---------------------------------------------------
 
     def add_integer_variables(self, names: Iterable[str]) -> None:
         self._integer_variables |= set(names)
+        self._theory.add_integer_variables(names)
 
     def assert_formula(self, formula) -> None:
         """Conjoin *formula* (a Formula or a bare Constraint) to the assertions."""
@@ -146,22 +158,48 @@ class SmtSolver:
                 return None
             literals = self._theory_literals(boolean_model)
             constraints = self._constraints_of(literals)
-            self.statistics["theory_calls"] += 1
-            outcome = check_conjunction(
-                constraints,
-                self._integer_variables,
-                minimize_core=len(constraints) <= self._core_minimization_limit,
-                kernel=self._kernel,
-            )
-            if outcome.satisfiable:
-                return literals, outcome.model
+            core = self._theory_check(constraints)
+            if core is None:
+                outcome = check_conjunction(
+                    constraints, self._integer_variables, kernel=self._kernel
+                )
+                if outcome.satisfiable:
+                    return literals, outcome.model
+                if not self._mentions_integers(constraints):
+                    raise TheoryMismatch(
+                        "cold theory check refutes a rational conjunction "
+                        "the incremental check accepted: %s"
+                        % ", ".join(map(str, constraints))
+                    )
+                # Integer infeasible although rationally consistent: no
+                # Farkas row explains it, so block the whole assignment.
+                core = outcome.core
             self.statistics["theory_conflicts"] += 1
-            core_literals = [literals[index] for index in outcome.core]
-            if not core_literals:
-                # The conjunction is inconsistent independently of any atom
-                # (cannot happen with a sound theory solver); fail safe.
-                return None
-            self._sat.add_clause([-literal for literal in core_literals])
+            self.statistics["core_literals"] += len(core)
+            self._sat.add_clause([-literals[index] for index in core])
+
+    def _theory_check(self, constraints: List[Constraint]) -> Optional[List[int]]:
+        """The incremental check: a conflict core, or ``None`` if consistent."""
+        self.statistics["theory_calls"] += 1
+        pivots = self._theory.pivots
+        core = self._theory.check(constraints)
+        self.statistics["theory_pivots"] += self._theory.pivots - pivots
+        if core is not None and self._audit:
+            subset = [constraints[index] for index in core]
+            if check_conjunction(
+                subset, self._integer_variables, kernel=self._kernel
+            ).satisfiable:
+                raise TheoryMismatch(
+                    "incremental conflict core is feasible: %s"
+                    % ", ".join(map(str, subset))
+                )
+        return core
+
+    def _mentions_integers(self, constraints: Sequence[Constraint]) -> bool:
+        return any(
+            not constraint.variables().isdisjoint(self._integer_variables)
+            for constraint in constraints
+        )
 
     def _theory_literals(self, boolean_model: Dict[int, bool]) -> List[int]:
         """A *justification*: atoms sufficient to make every assertion true.

@@ -1,9 +1,10 @@
 """Theory solver for conjunctions of linear arithmetic constraints.
 
 Given a conjunction of (possibly strict) linear constraints over rational
-or integer variables, the solver decides satisfiability, produces a model
-and, when unsatisfiable, extracts a small *unsat core* that the lazy SMT
-loop turns into a blocking clause.
+or integer variables, the solver decides satisfiability and produces a
+model.  It solves one cold LP (or ILP) per call; the lazy SMT loop uses it
+once per theory-consistent assignment, for the model, and takes its
+conflict cores from the incremental :class:`repro.smt.lra.LraSolver`.
 
 Strict inequalities are handled exactly with the standard trick: every
 ``e < 0`` is replaced by ``e + δ ≤ 0`` for a shared fresh variable ``δ``
@@ -68,10 +69,13 @@ def _prepare(
 def check_conjunction(
     constraints: Sequence[Constraint],
     integer_variables: Optional[Set[str]] = None,
-    minimize_core: bool = True,
     kernel: str = "exact",
 ) -> TheoryResult:
-    """Decide satisfiability of a conjunction of linear constraints."""
+    """Decide satisfiability of a conjunction of linear constraints.
+
+    An unsatisfiable result carries the trivial core: the one constant
+    false constraint if there is one, otherwise every index.
+    """
     integer_variables = integer_variables or set()
 
     trivially_false = [
@@ -126,10 +130,7 @@ def check_conjunction(
         }
         return TheoryResult(True, model=model)
 
-    core = list(range(len(constraints)))
-    if minimize_core:
-        core = _minimize_core(constraints, integer_variables, kernel)
-    return TheoryResult(False, core=core)
+    return TheoryResult(False, core=list(range(len(constraints))))
 
 
 def _solve(
@@ -161,28 +162,3 @@ def _solve(
             # rational witness is still a sound counterexample direction.
             return solve_lp(objective, list(rows), sense, names, kernel=kernel)
     return solve_lp(objective, list(rows), sense, names, kernel=kernel)
-
-
-def _minimize_core(
-    constraints: Sequence[Constraint],
-    integer_variables: Set[str],
-    kernel: str = "exact",
-) -> List[int]:
-    """Single-pass deletion filter: an irreducible unsatisfiable core.
-
-    Each constraint is tentatively removed once; if the remainder is still
-    unsatisfiable the removal is kept.  One pass suffices for an
-    irreducible core and costs a linear number of LP feasibility checks.
-    """
-    core = list(range(len(constraints)))
-    for candidate in list(core):
-        if len(core) <= 1:
-            break
-        trial = [index for index in core if index != candidate]
-        subset = [constraints[index] for index in trial]
-        result = check_conjunction(
-            subset, integer_variables, minimize_core=False, kernel=kernel
-        )
-        if not result.satisfiable:
-            core = trial
-    return core

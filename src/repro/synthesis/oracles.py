@@ -44,6 +44,7 @@ from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, conjunction, disjunction
 from repro.linexpr.transform import prime_suffix
 from repro.smt.optimize import OptimizingSmtSolver
+from repro.smt.solver import SMT_COUNTERS
 
 #: Registry names of the built-in oracles, in preference order.
 ORACLE_NAMES = ("smt", "dd", "sampling")
@@ -97,6 +98,10 @@ class CounterexampleOracle(abc.ABC):
             "smt_queries": 0,
             "candidates": 0,
         }
+        #: :data:`~repro.smt.solver.SMT_COUNTERS` summed over every SMT
+        #: query this oracle issued; the engine folds them into
+        #: :class:`~repro.core.lp_instance.LpStatistics`.
+        self.smt_statistics: Dict[str, int] = dict.fromkeys(SMT_COUNTERS, 0)
 
     def reset(self, template, extra_constraints: Sequence = ()) -> None:
         """Prepare for one component of *template* (called by the engine)."""
@@ -150,6 +155,7 @@ def has_stuttering_step(
     extra_constraints: Sequence,
     integer_mode: bool,
     kernel: str = "exact",
+    lp_mode: str = "incremental",
 ) -> bool:
     """Whether ``Φ`` admits a step with ``u = 0`` (see end of Algorithm 1)."""
     solver = OptimizingSmtSolver(
@@ -157,6 +163,7 @@ def has_stuttering_step(
             problem.smt_integer_variables() if integer_mode else ()
         ),
         kernel=kernel,
+        lp_mode=lp_mode,
     )
     solver.assert_formula(transition_formula)
     for constraint in extra_constraints:
@@ -199,6 +206,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
             ),
             mode=template.smt_mode,
             kernel=getattr(template, "kernel", "exact"),
+            lp_mode=getattr(template, "lp_mode", "incremental"),
         )
         solver.assert_formula(template.transition_formula)
         for constraint in self._extra_constraints:
@@ -218,6 +226,8 @@ class SmtOptimizingOracle(CounterexampleOracle):
             # Same query, no minimisation: an arbitrary theory model —
             # the non-extremal half of the paper's §4.2 ablation.
             outcome = solver.check()
+        for key in SMT_COUNTERS:
+            self.smt_statistics[key] += solver.statistics[key]
         if outcome.is_unsat:
             return []
         witness = problem.difference_vector(outcome.model)
@@ -379,6 +389,7 @@ class DdEnumerationOracle(CounterexampleOracle):
         super().reset(template, extra_constraints)
         self._names = template.problem.difference_variables()
         self._confirmation = SmtOptimizingOracle()
+        self._confirmation.smt_statistics = self.smt_statistics
         self._confirmation.reset(template, extra_constraints)
         self._generators = self._enumerate(template, extra_constraints)
         self._vertices_by_disjunct: Dict[int, List[Vector]] = {}

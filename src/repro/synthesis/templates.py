@@ -44,11 +44,15 @@ class LinearTemplate:
         integer_mode: bool = False,
         smt_mode: str | SearchMode = SearchMode.LOCAL,
         kernel: str = "exact",
+        lp_mode: str = "incremental",
     ):
         self.problem = problem
         self.integer_mode = integer_mode
         self.smt_mode = smt_mode
         self.kernel = kernel
+        #: Passed to the SMT queries: ``"audit"`` re-checks every
+        #: incremental theory conflict with the cold check.
+        self.lp_mode = lp_mode
         #: ``Φ``: the disjunction over blocks, built once per template and
         #: shared by every oracle query of every component.
         self.transition_formula = problem.transition_formula()
@@ -80,6 +84,7 @@ class LinearTemplate:
             extra_constraints,
             self.integer_mode,
             kernel=self.kernel,
+            lp_mode=self.lp_mode,
         )
 
 
@@ -98,12 +103,14 @@ class LexicographicTemplate(LinearTemplate):
         smt_mode: str | SearchMode = SearchMode.LOCAL,
         max_dimension: Optional[int] = None,
         kernel: str = "exact",
+        lp_mode: str = "incremental",
     ):
         super().__init__(
             problem,
             integer_mode=integer_mode,
             smt_mode=smt_mode,
             kernel=kernel,
+            lp_mode=lp_mode,
         )
         self.max_dimension = (
             max_dimension

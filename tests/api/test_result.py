@@ -115,6 +115,33 @@ class TestResultSerialisation:
         assert document["time_ms"] > 0
         assert {"instances", "average_rows", "pivots"} <= set(document["lp"])
 
+    def test_smt_counters_round_trip_exactly(self):
+        statistics = LpStatistics(
+            smt_sat_calls=11,
+            smt_theory_checks=10,
+            smt_theory_conflicts=9,
+            smt_core_literals=42,
+            smt_theory_pivots=20,
+        )
+        document = json.loads(json.dumps(statistics.to_dict()))
+        assert document["smt_core_literals"] == 42
+        assert LpStatistics.from_dict(document) == statistics
+        result = AnalysisResult(lp_statistics=statistics)
+        assert AnalysisResult.from_json(result.to_json()) == result
+
+    def test_smt_counters_surface_and_repeat(self):
+        from repro.benchsuite import get_suite
+
+        program = next(p for p in get_suite("wtc") if p.name == "wcet2")
+        first, second = (analyze(program.build()).to_dict()["lp"] for _ in "12")
+        keys = [key for key in first if key.startswith("smt_")]
+        assert len(keys) == 5
+        assert all(first[key] > 0 for key in keys)
+        assert first["smt_theory_checks"] > first["smt_theory_conflicts"]
+        assert {key: first[key] for key in keys} == {
+            key: second[key] for key in keys
+        }
+
     def test_provenance_round_trips(self):
         result = AnalysisResult(
             tool="termite",

@@ -3,6 +3,7 @@
 
 
 from repro.linexpr.expr import var
+from repro.smt.lra import LraSolver
 from repro.smt.theory import check_conjunction
 
 x, y = var("x"), var("y")
@@ -59,15 +60,14 @@ class TestUnsatisfiable:
         assert result.core == [0]
 
     def test_core_is_unsat_and_minimal(self):
+        # Conflict cores come from the incremental solver's explanations.
         constraints = [x >= 0, y >= 0, x <= 5, x >= 10]
-        result = check_conjunction(constraints, minimize_core=True)
-        assert not result.satisfiable
-        core = [constraints[i] for i in result.core]
-        assert not check_conjunction(core, minimize_core=False).satisfiable
-        assert len(core) == 2
+        core = LraSolver().check(constraints)
+        assert core == [2, 3]
+        assert not check_conjunction([constraints[i] for i in core]).satisfiable
 
     def test_core_without_minimisation_covers_conflict(self):
         constraints = [x >= 10, x <= 5]
-        result = check_conjunction(constraints, minimize_core=False)
+        result = check_conjunction(constraints)
         subset = [constraints[i] for i in result.core]
-        assert not check_conjunction(subset, minimize_core=False).satisfiable
+        assert not check_conjunction(subset).satisfiable
