@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""The sparse-kernel micro-suite (delegates to ``repro bench``).
+"""The performance micro-suite (delegates to ``repro bench``).
 
-Measures the scaled-integer row kernel, the simplex rebuilt on top of
-it, the pruned Fourier–Motzkin projection and an end-to-end Table-1 WTC
-slice, and writes the machine-readable trajectory to
+Measures the exact simplex, the pruned Fourier–Motzkin projection, an
+end-to-end Table-1 WTC slice and the CEGIS oracle/strategy ablation,
+and writes the machine-readable trajectory to
 ``BENCH_kernel.json``.  The implementation lives in
 :mod:`repro.reporting.perf` (the suites) and :func:`repro.cli.bench_main`
 (the file handling), so the same harness is reachable three ways:

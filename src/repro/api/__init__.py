@@ -32,7 +32,6 @@ from repro.api.config import (
     CEX_STRATEGIES,
     ConfigError,
     DOMAINS,
-    KERNELS,
     NONTERM_MODES,
     SMT_MODES,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "DOMAINS",
     "CEX_ORACLES",
     "CEX_STRATEGIES",
-    "KERNELS",
     "NONTERM_MODES",
     "CAPABILITIES",
     "Prover",

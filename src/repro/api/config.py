@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.lp_instance import LP_MODES
-from repro.linalg.packed import KERNELS
 from repro.smt.optimize import SearchMode
 from repro.synthesis.oracles import ORACLE_NAMES
 from repro.synthesis.strategies import STRATEGY_NAMES
@@ -62,8 +61,8 @@ class AnalysisConfig:
     """Every knob of the termination analysis, as one immutable value.
 
     ``docs/MIGRATION.md`` maps the keyword arguments of the removed
-    ``TerminationProver`` constructor and the removed ``cex_batch`` knob
-    onto these fields.
+    ``TerminationProver`` constructor onto these fields and lists every
+    knob that was removed.
     """
 
     #: Counterexample search strategy of the optimising SMT oracle:
@@ -74,14 +73,6 @@ class AnalysisConfig:
     #: ``"cold"`` (rebuild from scratch) or ``"audit"`` (both + cross-check;
     #: also re-checks every incremental SMT conflict core cold).
     lp_mode: str = "incremental"
-    #: Row representation of the simplex/projection kernels:
-    #: ``"packed"`` (fixed-width numpy int64 rows with exact fallback on
-    #: int64 overflow), ``"exact"`` (pure-Python bignum rows) or
-    #: ``"auto"`` (packed iff numpy is available and the rows are wide
-    #: enough to win).  Verdicts, optima and pivot sequences are
-    #: identical across kernels; combine with ``lp_mode="audit"`` to
-    #: cross-check the packed path against the exact one per solve.
-    kernel: str = "auto"
     #: Tighten strict inequalities over integer-valued variables.
     integer_mode: bool = False
     #: Iteration budget of one monodimensional synthesis loop.
@@ -123,10 +114,6 @@ class AnalysisConfig:
         _require(
             self.lp_mode in LP_MODES,
             "lp_mode must be one of %s, got %r" % (", ".join(LP_MODES), self.lp_mode),
-        )
-        _require(
-            self.kernel in KERNELS,
-            "kernel must be one of %s, got %r" % (", ".join(KERNELS), self.kernel),
         )
         _require(
             isinstance(self.integer_mode, bool),

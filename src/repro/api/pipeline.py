@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import time
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import canonical_name, get_prover
@@ -36,6 +36,7 @@ from repro.invariants.analyzer import compute_invariants
 from repro.invariants.domain import AbstractDomain
 from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
+from repro.lp.simplex import lp_counters
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.large_block import large_block_encoding
@@ -62,6 +63,12 @@ STAGES = BUILD_STAGES + ("synthesis", "certificate")
 
 #: Anything :class:`Analysis` accepts as its program argument.
 ProgramLike = Union[str, ControlFlowAutomaton]
+
+
+def _lp_counters_since(snapshot: Tuple[int, int]) -> Tuple[int, int]:
+    """``(set-ups, pivots)`` of this thread's simplex since *snapshot*."""
+    setups, pivots = lp_counters()
+    return (setups - snapshot[0], pivots - snapshot[1])
 
 
 class Analysis:
@@ -105,7 +112,7 @@ class Analysis:
         self._problem: Optional[TerminationProblem] = None
         self._build_stages: List[StageTiming] = []
         self._build_lp_saved = 0
-        self._build_kernel_counts: Dict[str, int] = {}
+        self._build_lp_counts: Tuple[int, int] = (0, 0)
 
     # -- observers ---------------------------------------------------------------
 
@@ -166,11 +173,10 @@ class Analysis:
         """The built termination problem (cached across :meth:`run` calls)."""
         if self._problem is not None:
             return self._problem
-        from repro.linalg import packed
         from repro.polyhedra import projection
 
         build_snapshot = projection.statistics.snapshot()
-        build_kernel_snapshot = packed.kernel_counters_snapshot()
+        build_lp_snapshot = lp_counters()
         automaton = self.automaton()
         if not any(stage.name == "frontend" for stage in self._build_stages):
             # Automaton was given directly: record a zero-cost frontend
@@ -206,9 +212,7 @@ class Analysis:
         # Like the build-stage timings, projection savings from the
         # shared problem build reappear in every result of this Analysis.
         self._build_lp_saved = projection.lp_calls_saved_since(build_snapshot)
-        self._build_kernel_counts = packed.kernel_counters_since(
-            build_kernel_snapshot
-        )
+        self._build_lp_counts = _lp_counters_since(build_lp_snapshot)
         return self._problem
 
     def build_seconds(self) -> float:
@@ -224,13 +228,12 @@ class Analysis:
         build stages are shared — their recorded timings reappear in every
         result of this :class:`Analysis`, they are *not* re-run.
         """
-        from repro.linalg import packed
         from repro.polyhedra import projection
 
         prover = get_prover(tool)
         problem = self.problem()
         snapshot = projection.statistics.snapshot()
-        kernel_snapshot = packed.kernel_counters_snapshot()
+        lp_snapshot = lp_counters()
         run_stages: List[StageTiming] = []
         prove_kwargs = {}
         if self._engine_observers and "events" in prover.capabilities:
@@ -242,18 +245,13 @@ class Analysis:
         result.lp_statistics.redundancy_lp_saved += (
             self._build_lp_saved + projection.lp_calls_saved_since(snapshot)
         )
-        # Kernel counters are global to the thread, so fold the deltas
+        # Simplex counters are global to the thread, so fold the deltas
         # recorded around this run (plus the shared build's share) into
         # the result the same way the projection savings are folded.
-        run_kernel_counts = packed.kernel_counters_since(kernel_snapshot)
-        for field in packed.COUNTER_FIELDS:
-            total = self._build_kernel_counts.get(field, 0)
-            total += run_kernel_counts.get(field, 0)
-            setattr(
-                result.lp_statistics,
-                field,
-                getattr(result.lp_statistics, field) + total,
-            )
+        run_setups, run_pivots = _lp_counters_since(lp_snapshot)
+        build_setups, build_pivots = self._build_lp_counts
+        result.lp_statistics.resolved_exact += build_setups + run_setups
+        result.lp_statistics.row_pivots += build_pivots + run_pivots
         if (
             self.config.check_certificates
             and prover.supports_certificates

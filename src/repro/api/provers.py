@@ -61,7 +61,6 @@ class TermiteProver(Prover):
             "cex-oracles",
             "cex-strategies",
             "lp-modes",
-            "kernels",
             "max-dimension",
             "events",
             "nontermination",
@@ -118,7 +117,6 @@ class TermiteProver(Prover):
             integer_mode=config.integer_mode,
             smt_mode=config.search_mode,
             max_dimension=config.max_dimension,
-            kernel=config.kernel,
             lp_mode=config.lp_mode,
         )
         engine = CegisEngine(
@@ -126,7 +124,6 @@ class TermiteProver(Prover):
             make_strategy(config.cex_strategy, seed=config.oracle_seed),
             max_iterations=config.max_iterations,
             lp_mode=config.lp_mode,
-            kernel=config.kernel,
             observers=(observer,) if observer is not None else (),
             should_stop=should_stop,
         )
@@ -184,7 +181,6 @@ class TermiteProver(Prover):
             budget=config.nonterm_budget,
             observers=(observer,) if observer is not None else (),
             should_stop=should_stop,
-            kernel=config.kernel,
         )
         elapsed = time.perf_counter() - start
         if outcome.success:

@@ -33,10 +33,10 @@ Six subcommands, all built on the unified analysis API:
     as ``python benchmarks/table1.py``).
 
 ``repro bench``
-    The sparse-kernel performance micro-suite: row-kernel ops vs the
-    dense baseline, a simplex batch, pruned Fourier–Motzkin and a
-    Table-1 WTC slice, written to ``BENCH_kernel.json`` (also reachable
-    as ``python benchmarks/perf_kernel.py``).
+    The performance micro-suite: a simplex batch, pruned
+    Fourier–Motzkin, a Table-1 WTC slice and the CEGIS ablation, written
+    to ``BENCH_kernel.json`` (also reachable as
+    ``python benchmarks/perf_kernel.py``).
 
 Installed as a console script (``pip install -e .``) and always available
 as ``python -m repro``.
@@ -50,7 +50,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import replace
 
 from repro.api import (
     AnalysisConfig,
@@ -59,7 +58,6 @@ from repro.api import (
     CEX_STRATEGIES,
     ConfigError,
     DOMAINS,
-    KERNELS,
     NONTERM_MODES,
     RequestError,
     SMT_MODES,
@@ -92,13 +90,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--smt-mode", choices=list(SMT_MODES), default=None)
     group.add_argument("--lp-mode", choices=list(LP_MODES), default=None)
-    group.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        help="LP/projection row kernel: 'packed' (numpy int64 fast path "
-        "with exact overflow fallback), 'exact' (bignum rows) or 'auto'",
-    )
     group.add_argument("--domain", choices=list(DOMAINS), default=None)
     group.add_argument(
         "--oracle",
@@ -166,7 +157,6 @@ def _config_from_arguments(arguments: argparse.Namespace) -> AnalysisConfig:
     for flag, field in [
         ("smt_mode", "smt_mode"),
         ("lp_mode", "lp_mode"),
-        ("kernel", "kernel"),
         ("domain", "domain"),
         ("cex_oracle", "cex_oracle"),
         ("cex_strategy", "cex_strategy"),
@@ -561,15 +551,11 @@ def command_fuzz(arguments: argparse.Namespace) -> int:
 
     progress = verbose_progress if arguments.verbose else None
 
-    config = default_fuzz_config()
-    if arguments.kernel:
-        config = replace(config, kernel=arguments.kernel)
-
     report = fuzz(
         seed=arguments.seed,
         count=arguments.count,
         tools=tools,
-        config=config,
+        config=default_fuzz_config(),
         shrink=not arguments.no_shrink,
         jobs=arguments.jobs,
         timeout=arguments.timeout,
@@ -834,7 +820,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "suites",
         nargs="*",
         metavar="SUITE",
-        help="suites to run (default: the five-kernel set; 'service' "
+        help="suites to run (default: the four default suites; 'service' "
         "measures the resident front door).  A partial selection merges "
         "into the existing JSON report instead of replacing it.  "
         "Choices: %s" % ", ".join(sorted(SUITE_RUNNERS)),
@@ -864,7 +850,7 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
 def bench_main(argv=None) -> int:
     """Standalone entry point (used by ``benchmarks/perf_kernel.py``)."""
     parser = argparse.ArgumentParser(
-        description="Run the sparse-kernel performance micro-suite.",
+        description="Run the performance micro-suite.",
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     add_bench_arguments(parser)
@@ -973,15 +959,6 @@ def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
         "optima, and re-checks every SMT theory conflict core cold "
         "(default: incremental)",
     )
-    parser.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default="auto",
-        help="LP/projection row kernel: 'packed' (numpy int64 fast path "
-        "with exact overflow fallback), 'exact' (bignum rows), or "
-        "'auto' (default: packed on wide systems when numpy is "
-        "available)",
-    )
 
 
 def command_table1(arguments: argparse.Namespace) -> int:
@@ -1011,7 +988,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
         timeout=arguments.timeout,
         lp_mode=arguments.lp_mode,
         name_filter=arguments.name_filter,
-        kernel=arguments.kernel,
     )
     elapsed = time.perf_counter() - started
 
@@ -1028,7 +1004,6 @@ def command_table1(arguments: argparse.Namespace) -> int:
             "jobs": arguments.jobs,
             "timeout": arguments.timeout,
             "lp_mode": arguments.lp_mode,
-            "kernel": arguments.kernel,
             "wall_seconds": round(elapsed, 3),
         },
     )
@@ -1233,14 +1208,6 @@ def build_parser() -> argparse.ArgumentParser:
         "crash-isolated engine; default: none)",
     )
     fuzz.add_argument(
-        "--kernel",
-        choices=list(KERNELS),
-        default=None,
-        metavar="KERNEL",
-        help="LP/projection row kernel for every prover under test "
-        "(choices: %s; default: the config default)" % ", ".join(KERNELS),
-    )
-    fuzz.add_argument(
         "--no-shrink",
         action="store_true",
         help="report violations without shrinking the reproducer",
@@ -1270,10 +1237,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="run the sparse-kernel performance micro-suite",
-        description="Measure the scaled-integer row kernel, the simplex "
-        "on top of it, pruned Fourier-Motzkin projection and a Table-1 "
-        "WTC slice; write the trajectory to BENCH_kernel.json.",
+        help="run the performance micro-suite",
+        description="Measure the exact simplex, pruned Fourier-Motzkin "
+        "projection, a Table-1 WTC slice and the CEGIS ablation; write "
+        "the trajectory to BENCH_kernel.json.",
     )
     add_bench_arguments(bench)
     bench.set_defaults(handler=command_bench)

@@ -73,17 +73,11 @@ class LpStatistics:
     oracle_queries: int = 0
     cex_rows: int = 0
     flat_directions: int = 0
-    #: Kernel observability (attributed by the analysis pipeline from the
-    #: thread-local :func:`repro.linalg.packed.kernel_counters`): how many
-    #: kernel resolutions picked the stacked int64 path vs the exact
-    #: sparse path, how many pivots ran as fused stacked sweeps vs on the
-    #: per-row path, and how many fused ops fell back to exact bignum
-    #: arithmetic under the int64 overflow bound.
-    resolved_packed: int = 0
+    #: Every simplex tableau set-up and pivot of the run, ranking LP or
+    #: not (attributed by the analysis pipeline from the thread-local
+    #: :func:`repro.lp.simplex.lp_counters`).
     resolved_exact: int = 0
-    stacked_pivots: int = 0
     row_pivots: int = 0
-    overflow_fallbacks: int = 0
     #: Lazy-SMT counters of the counterexample oracle's queries (summed
     #: from :attr:`repro.smt.solver.SmtSolver.statistics`): boolean models
     #: proposed by the SAT core, incremental theory checks, conflicts
@@ -125,21 +119,12 @@ class LpStatistics:
     def average_cols(self) -> float:
         return self.total_cols / self.instances if self.instances else 0.0
 
-    @property
-    def kernel_chosen(self) -> str:
-        """Which kernel the run's LP/projection work actually resolved to.
-
-        ``"packed"`` / ``"exact"`` when every resolution agreed,
-        ``"mixed"`` when both paths ran (e.g. ``auto`` crossing the
-        width threshold per instance), ``""`` when nothing resolved.
-        """
-        if self.resolved_packed and self.resolved_exact:
-            return "mixed"
-        if self.resolved_packed:
-            return "packed"
-        if self.resolved_exact:
-            return "exact"
-        return ""
+    # The int64 kernels are gone, so nothing resolves to them, pivots on
+    # them or overflows them.  ``perfbench/metrics.py`` still reads these
+    # three counters by ``getattr``; they stay readable as zeros.
+    resolved_packed = property(lambda self: 0)
+    stacked_pivots = property(lambda self: 0)
+    overflow_fallbacks = property(lambda self: 0)
 
     def to_dict(self) -> dict:
         """Plain-JSON view: the raw counters plus derived averages.
@@ -162,11 +147,8 @@ class LpStatistics:
             "oracle_queries": self.oracle_queries,
             "cex_rows": self.cex_rows,
             "flat_directions": self.flat_directions,
-            "resolved_packed": self.resolved_packed,
             "resolved_exact": self.resolved_exact,
-            "stacked_pivots": self.stacked_pivots,
             "row_pivots": self.row_pivots,
-            "overflow_fallbacks": self.overflow_fallbacks,
             "smt_sat_calls": self.smt_sat_calls,
             "smt_theory_checks": self.smt_theory_checks,
             "smt_theory_conflicts": self.smt_theory_conflicts,
@@ -174,12 +156,17 @@ class LpStatistics:
             "smt_theory_pivots": self.smt_theory_pivots,
             "average_rows": self.average_rows,
             "average_cols": self.average_cols,
-            "kernel_chosen": self.kernel_chosen,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "LpStatistics":
-        """Inverse of :meth:`to_dict` (derived keys are recomputed)."""
+        """Inverse of :meth:`to_dict` (derived keys are recomputed).
+
+        Unknown keys are ignored, so payloads that still carry the
+        removed int64-kernel counters (``resolved_packed``,
+        ``stacked_pivots``, ``overflow_fallbacks``, ``kernel_chosen``)
+        load unchanged.
+        """
         return cls(
             instances=data.get("instances", 0),
             total_rows=data.get("total_rows", 0),
@@ -194,11 +181,8 @@ class LpStatistics:
             oracle_queries=data.get("oracle_queries", 0),
             cex_rows=data.get("cex_rows", 0),
             flat_directions=data.get("flat_directions", 0),
-            resolved_packed=data.get("resolved_packed", 0),
             resolved_exact=data.get("resolved_exact", 0),
-            stacked_pivots=data.get("stacked_pivots", 0),
             row_pivots=data.get("row_pivots", 0),
-            overflow_fallbacks=data.get("overflow_fallbacks", 0),
             smt_sat_calls=data.get("smt_sat_calls", 0),
             smt_theory_checks=data.get("smt_theory_checks", 0),
             smt_theory_conflicts=data.get("smt_theory_conflicts", 0),
@@ -220,11 +204,8 @@ class LpStatistics:
         self.oracle_queries += other.oracle_queries
         self.cex_rows += other.cex_rows
         self.flat_directions += other.flat_directions
-        self.resolved_packed += other.resolved_packed
         self.resolved_exact += other.resolved_exact
-        self.stacked_pivots += other.stacked_pivots
         self.row_pivots += other.row_pivots
-        self.overflow_fallbacks += other.overflow_fallbacks
         self.smt_sat_calls += other.smt_sat_calls
         self.smt_theory_checks += other.smt_theory_checks
         self.smt_theory_conflicts += other.smt_theory_conflicts
@@ -255,7 +236,6 @@ class RankingLp:
         problem: TerminationProblem,
         statistics: Optional[LpStatistics] = None,
         mode: str = "incremental",
-        kernel: str = "auto",
     ):
         if mode not in LP_MODES:
             raise ValueError(
@@ -263,12 +243,6 @@ class RankingLp:
             )
         self.problem = problem
         self.mode = mode
-        #: Row-representation knob of the underlying simplex (see
-        #: :data:`repro.linalg.packed.KERNELS`).  Audit mode's shadow
-        #: solve always runs the exact kernel, so ``mode="audit"`` with
-        #: ``kernel="packed"`` cross-checks the packed fast path against
-        #: exact bignum arithmetic on every fresh instance.
-        self.kernel = kernel
         self.rows = problem.invariant_rows()
         self.stacked_rows = [problem.stacked_row(row) for row in self.rows]
         self.counterexamples: List[Vector] = []
@@ -364,7 +338,7 @@ class RankingLp:
         is accounted.
         """
         if self._state is None:
-            self._state = SimplexState(Sense.MAXIMIZE, kernel=self.kernel)
+            self._state = SimplexState(Sense.MAXIMIZE)
             for i in range(len(self.rows)):
                 self._state.declare(self._gamma_name(i), nonnegative=True)
         state = self._state
@@ -403,7 +377,7 @@ class RankingLp:
         return program
 
     def _solve_cold(self) -> LpResult:
-        outcome = self._build_cold_program().solve(kernel=self.kernel)
+        outcome = self._build_cold_program().solve()
         self.statistics.record_solve(outcome.pivots, warm=False)
         return outcome
 
@@ -415,13 +389,9 @@ class RankingLp:
         warm assignment must also be a feasible point of the cold program
         achieving that value.  The measured pivot difference is the saving
         the warm start bought on this instance.
-
-        The shadow solve always runs the **exact** kernel, whatever
-        ``self.kernel`` says: with ``kernel="packed"`` this is the
-        bit-identical packed-vs-exact cross-check of the int64 fast path.
         """
         program = self._build_cold_program()
-        cold_outcome = program.solve(kernel="exact")
+        cold_outcome = program.solve()
         if cold_outcome.status is not warm_outcome.status:
             raise RuntimeError(
                 "warm/cold status mismatch: %s vs %s"

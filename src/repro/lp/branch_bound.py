@@ -48,7 +48,6 @@ def solve_ilp(
     sense: Sense = Sense.MINIMIZE,
     variables: Optional[Sequence[str]] = None,
     max_nodes: int = 2000,
-    kernel: str = "exact",
 ) -> LpResult:
     """Optimise *objective* with the listed variables restricted to integers.
 
@@ -77,9 +76,7 @@ def solve_ilp(
                 "branch-and-bound exceeded %d nodes" % max_nodes
             )
         node_constraints = stack.pop()
-        relaxation = solve_lp(
-            objective, node_constraints, sense, variables, kernel=kernel
-        )
+        relaxation = solve_lp(objective, node_constraints, sense, variables)
         if relaxation.status is LpStatus.INFEASIBLE:
             continue
         if relaxation.status is LpStatus.UNBOUNDED:
@@ -125,7 +122,6 @@ def find_integer_point(
     integer_variables: Sequence[str],
     variables: Optional[Sequence[str]] = None,
     max_nodes: int = 2000,
-    kernel: str = "exact",
 ) -> LpResult:
     """Find any integer-feasible point of the constraint system."""
     return solve_ilp(
@@ -135,5 +131,4 @@ def find_integer_point(
         Sense.MINIMIZE,
         variables,
         max_nodes,
-        kernel=kernel,
     )

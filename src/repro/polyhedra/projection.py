@@ -36,13 +36,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.linalg.packed import (
-    _INT64_MAX,
-    _np,
-    PackedRow,
-    pack_row,
-    resolve_kernel,
-)
 from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -69,10 +62,9 @@ class ProjectionStatistics(threading.local):
     entailment-checked; ``rows_eliminated`` the number of rows dropped
     by any cheap layer.
 
-    Thread-local like the kernel counters of :mod:`repro.linalg.packed`:
-    every thread folds into its own attributes, so concurrent analyses
-    (e.g. the ``nonterm=auto`` race) can never corrupt each other's
-    counters or mis-attribute saved LP calls.
+    Thread-local: every thread folds into its own attributes, so
+    concurrent analyses (e.g. the ``nonterm=auto`` race) can never
+    corrupt each other's counters or mis-attribute saved LP calls.
     """
 
     def __init__(self) -> None:
@@ -132,16 +124,8 @@ def lp_calls_saved_since(snapshot: Tuple[int, ...]) -> int:
 def _index_rows(
     constraints: Sequence[Constraint],
     index_of: Optional[Dict[str, int]] = None,
-    kernel: str = "exact",
 ) -> Tuple[List[str], List[Tuple[SparseRow, Relation]]]:
-    """Map a constraint system onto primitive-integer sparse rows.
-
-    With ``kernel`` resolving to ``"packed"`` the rows are packed into
-    fixed-width int64 arrays (slot 0 carries the :data:`_CONST`
-    sentinel), so the FM combinations, dominance keys and Kohler sign
-    tests downstream all run on packed columns; rows whose entries
-    exceed int64 stay exact individually.
-    """
+    """Map a constraint system onto primitive-integer sparse rows."""
     if index_of is None:
         names = sorted(
             {name for c in constraints for name in c.expr.terms}
@@ -149,8 +133,6 @@ def _index_rows(
         index_of = {name: i for i, name in enumerate(names)}
     else:
         names = sorted(index_of, key=index_of.get)
-    width = len(names) + 1
-    packed = resolve_kernel(kernel, width) == "packed"
     rows: List[Tuple[SparseRow, Relation]] = []
     for constraint in constraints:
         pairs: List[Tuple[int, Fraction]] = [
@@ -161,8 +143,6 @@ def _index_rows(
         if constant:
             pairs.append((_CONST, constant))
         row = SparseRow.from_pairs(pairs).normalized_direction()
-        if packed:
-            row = pack_row(row, width)
         rows.append((row, constraint.relation))
     return names, rows
 
@@ -297,109 +277,6 @@ def _combine_pair(
     return combined, relation, upper_history | lower_history
 
 
-class _BlockedLowers:
-    """The packed lower rows of one FM step, stacked for blocked combination.
-
-    For each packed upper, every ``upper x lower`` combination is then
-    one broadcast multiply-add over the stacked matrix plus one masked
-    ``np.gcd.reduce`` normalisation pass, instead of a ``PackedRow``
-    merge (and its own gcd pass) per pair.  Only denominator-1 rows
-    participate — every row the projection layer builds is
-    direction-normalised, so this covers all packed rows — and each pair
-    is guarded by the same a-priori int64 bound as the per-row kernel;
-    pairs failing it take the exact per-pair path.
-    """
-
-    __slots__ = ("width", "matrix", "coefficients", "maxabs", "positions")
-
-    @classmethod
-    def build(
-        cls, uppers: List[_HistRow], lowers: List[_HistRow], index: int
-    ) -> Optional["_BlockedLowers"]:
-        if _np is None:
-            return None
-        stackable = [
-            (position, entry[0])
-            for position, entry in enumerate(lowers)
-            if type(entry[0]) is PackedRow and entry[0].denominator == 1
-        ]
-        if len(stackable) < 2:
-            return None
-        width = max(row.width for _, row in stackable)
-        for entry in uppers:
-            row = entry[0]
-            if type(row) is PackedRow and row.width > width:
-                width = row.width
-        blocked = object.__new__(cls)
-        blocked.width = width
-        blocked.matrix = _np.stack(
-            [row.widened(width)._dense for _, row in stackable]
-        )
-        blocked.coefficients = [
-            row.numerator_at(index) for _, row in stackable  # each < 0
-        ]
-        blocked.maxabs = [row._max_abs for _, row in stackable]
-        blocked.positions = [position for position, _ in stackable]
-        return blocked
-
-    def combine(self, upper_row, index: int):
-        """All in-bound combinations with *upper_row*, one fused sweep.
-
-        Returns ``{lower position: (combined, constant_only, constant)}``
-        (combinations whose products would overflow int64 are absent and
-        fall back to the exact per-pair path), or ``None`` when the
-        upper itself cannot participate.
-        """
-        if type(upper_row) is not PackedRow or upper_row.denominator != 1:
-            return None
-        scale = upper_row.numerator_at(index)  # > 0
-        upper_maxabs = upper_row._max_abs
-        in_bound = [
-            j
-            for j, (coefficient, maxabs) in enumerate(
-                zip(self.coefficients, self.maxabs)
-            )
-            if -coefficient * upper_maxabs + scale * maxabs <= _INT64_MAX
-        ]
-        if not in_bound:
-            return {}
-        if len(in_bound) == len(self.positions):
-            matrix = self.matrix
-            lower_scales = self.coefficients
-        else:
-            matrix = self.matrix[_np.array(in_bound, dtype=_np.intp)]
-            lower_scales = [self.coefficients[j] for j in in_bound]
-        upper_dense = upper_row.widened(self.width)._dense
-        # out = (-b_l) * upper + a_u * lower for every stacked lower l;
-        # every product and sum is covered by the per-pair bound above.
-        out = _np.array(lower_scales, dtype=_np.int64)[:, None] * (
-            -upper_dense
-        )[None, :]
-        out += scale * matrix
-        magnitudes = _np.abs(out)
-        divisors = _np.gcd.reduce(magnitudes, axis=1)
-        peaks = magnitudes.max(axis=1)
-        _np.maximum(divisors, 1, out=divisors)
-        out //= divisors[:, None]
-        peaks //= divisors
-        nonconstant = _np.count_nonzero(out[:, 1:], axis=1).tolist()
-        peak_list = peaks.tolist()
-        constant_list = out[:, 0].tolist()
-        combos = {}
-        for k, j in enumerate(in_bound):
-            row = object.__new__(PackedRow)
-            row._dense = out[k]
-            row.denominator = 1
-            row._max_abs = int(peak_list[k])
-            row._sparse = None
-            combos[self.positions[j]] = (
-                row,
-                nonconstant[k] == 0,
-                constant_list[k],
-            )
-        return combos
-
-
 def _eliminate_index(
     rows: List[_HistRow], index: int, kohler_bound: Optional[int]
 ) -> List[_HistRow]:
@@ -436,33 +313,11 @@ def _eliminate_index(
             lowers.append(entry)
         else:
             result.append(entry)
-    blocked = (
-        _BlockedLowers.build(uppers, lowers, index) if uppers else None
-    )
     for upper in uppers:
-        combos = blocked.combine(upper[0], index) if blocked else None
-        for position, lower in enumerate(lowers):
-            pre = combos.get(position) if combos is not None else None
-            if pre is not None:
-                combined, constant_only, constant = pre
-                relation = (
-                    Relation.LT
-                    if upper[1] is Relation.LT or lower[1] is Relation.LT
-                    else Relation.LE
-                )
-                history = upper[2] | lower[2]
-                statistics.combinations += 1
-                if constant_only and (
-                    constant < 0
-                    or (constant == 0 and relation is not Relation.LT)
-                ):
-                    continue
-            else:
-                combined, relation, history = _combine_pair(
-                    upper, lower, index
-                )
-                if _is_trivially_true(combined, relation):
-                    continue
+        for lower in lowers:
+            combined, relation, history = _combine_pair(upper, lower, index)
+            if _is_trivially_true(combined, relation):
+                continue
             if kohler_bound is not None and len(history) > kohler_bound:
                 statistics.rows_pruned_kohler += 1
                 statistics.lp_calls_saved += 1
@@ -472,10 +327,10 @@ def _eliminate_index(
 
 
 def eliminate_variable(
-    constraints: Sequence[Constraint], variable: str, kernel: str = "auto"
+    constraints: Sequence[Constraint], variable: str
 ) -> List[Constraint]:
     """Project *variable* out of a conjunction of non-strict constraints."""
-    names, indexed = _index_rows(constraints, kernel=kernel)
+    names, indexed = _index_rows(constraints)
     if variable not in names:
         return list(constraints)
     index = names.index(variable)
@@ -496,19 +351,15 @@ def fourier_motzkin(
     constraints: Sequence[Constraint],
     eliminate: Iterable[str],
     simplify: bool = True,
-    kernel: str = "auto",
 ) -> List[Constraint]:
     """Eliminate every variable in *eliminate* from the conjunction.
 
     With *simplify* the cheap syntactic/Kohler layers run after every
     step and the exact LP-based :func:`remove_redundant` once at the end
     (or mid-flight when a step still left the system more than
-    :data:`_LP_PRUNE_GROWTH` times its input size).  ``kernel`` selects
-    the row representation (see :data:`repro.linalg.packed.KERNELS`);
-    the default picks the packed int64 kernel automatically on systems
-    wide enough for it to win.
+    :data:`_LP_PRUNE_GROWTH` times its input size).
     """
-    names, indexed = _index_rows(constraints, kernel=kernel)
+    names, indexed = _index_rows(constraints)
     index_of = {name: i for i, name in enumerate(names)}
     targets = [index_of[v] for v in eliminate if v in index_of]
     rows: List[_HistRow] = [
@@ -534,13 +385,12 @@ def fourier_motzkin(
                     [
                         _row_constraint(row, relation, names)
                         for row, relation, _ in rows
-                    ],
-                    kernel=kernel,
+                    ]
                 )
                 # Histories no longer track original rows after an LP
                 # prune; restart Kohler counting from the survivors
                 # (the variable indexing stays stable).
-                _, indexed = _index_rows(pruned, index_of, kernel=kernel)
+                _, indexed = _index_rows(pruned, index_of)
                 rows = [
                     (row, relation, frozenset([position]))
                     for position, (row, relation) in enumerate(indexed)
@@ -550,7 +400,7 @@ def fourier_motzkin(
         _row_constraint(row, relation, names) for row, relation, _ in rows
     ]
     if simplify:
-        result = remove_redundant(result, kernel=kernel)
+        result = remove_redundant(result)
     return result
 
 
@@ -558,7 +408,6 @@ def project_constraints(
     constraints: Sequence[Constraint],
     keep: Sequence[str],
     simplify: bool = True,
-    kernel: str = "auto",
 ) -> List[Constraint]:
     """Project the conjunction onto the variables in *keep*."""
     keep_set = set(keep)
@@ -566,13 +415,10 @@ def project_constraints(
     for constraint in constraints:
         mentioned |= constraint.variables()
     eliminate = sorted(mentioned - keep_set)
-    return fourier_motzkin(constraints, eliminate, simplify, kernel=kernel)
+    return fourier_motzkin(constraints, eliminate, simplify)
 
 
-def remove_redundant(
-    constraints: Sequence[Constraint],
-    kernel: str = "auto",
-) -> List[Constraint]:
+def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
     """Drop constraints implied by the others (LP-based, exact).
 
     Duplicates and syntactically dominated constraints are removed
@@ -595,7 +441,7 @@ def remove_redundant(
         unique.append(normal)
 
     # Syntactic dominance: same homogeneous direction, weaker bound.
-    names, indexed = _index_rows(unique, kernel=kernel)
+    names, indexed = _index_rows(unique)
     survivors = _prune_syntactic(
         [
             (row, relation, frozenset([position]))
@@ -620,7 +466,7 @@ def remove_redundant(
         others = result + unique[index + 1 :]
         context = [c.weaken() for c in others]
         statistics.lp_calls += 1
-        outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE, kernel=kernel)
+        outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE)
         if outcome.is_optimal and outcome.objective is not None and (
             outcome.objective <= 0
         ):
@@ -630,11 +476,7 @@ def remove_redundant(
     return result
 
 
-def entails(
-    constraints: Sequence[Constraint],
-    candidate: Constraint,
-    kernel: str = "auto",
-) -> bool:
+def entails(constraints: Sequence[Constraint], candidate: Constraint) -> bool:
     """Whether the conjunction of *constraints* implies *candidate*.
 
     Only meaningful for satisfiable conjunctions of non-strict constraints;
@@ -644,10 +486,8 @@ def entails(
     if candidate.is_equality():
         upper = Constraint(candidate.expr, Relation.LE)
         lower = Constraint(-candidate.expr, Relation.LE)
-        return entails(constraints, upper, kernel) and entails(
-            constraints, lower, kernel
-        )
-    outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE, kernel=kernel)
+        return entails(constraints, upper) and entails(constraints, lower)
+    outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE)
     if outcome.is_infeasible:
         return True
     if outcome.is_unbounded:

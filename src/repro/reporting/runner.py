@@ -64,15 +64,14 @@ TOOLS: Mapping = _ToolsView()
 
 
 def _benchmark_config(
-    lp_mode: str, config: Optional[AnalysisConfig], kernel: str = "auto"
+    lp_mode: str, config: Optional[AnalysisConfig]
 ) -> AnalysisConfig:
     """The effective benchmark config.
 
     With no explicit *config*, benchmark runs measure synthesis, not the
-    (separately tested) certifier.  A non-default *lp_mode* or *kernel*
-    combined with an explicit *config* is rejected rather than silently
-    dropped — a mislabelled warm-vs-cold (or packed-vs-exact) ablation
-    is worse than an error.
+    (separately tested) certifier.  A non-default *lp_mode* combined
+    with an explicit *config* is rejected rather than silently dropped —
+    a mislabelled warm-vs-cold ablation is worse than an error.
     """
     if config is not None:
         if lp_mode != "incremental":
@@ -80,15 +79,8 @@ def _benchmark_config(
                 "pass lp_mode inside the explicit config (got lp_mode=%r "
                 "alongside config with lp_mode=%r)" % (lp_mode, config.lp_mode)
             )
-        if kernel != "auto":
-            raise ValueError(
-                "pass kernel inside the explicit config (got kernel=%r "
-                "alongside config with kernel=%r)" % (kernel, config.kernel)
-            )
         return config
-    return AnalysisConfig(
-        lp_mode=lp_mode, kernel=kernel, check_certificates=False
-    )
+    return AnalysisConfig(lp_mode=lp_mode, check_certificates=False)
 
 
 @dataclass
@@ -266,7 +258,6 @@ def run_table1(
     lp_mode: str = "incremental",
     name_filter: Optional[str] = None,
     config: Optional[AnalysisConfig] = None,
-    kernel: str = "auto",
 ) -> List[SuiteReport]:
     """Run every (suite, tool) cell of Table 1 through one shared task pool.
 
@@ -289,7 +280,7 @@ def run_table1(
         for index, program in enumerate(programs)
     ]
     cell_outcomes = _run_cells(
-        cells, canonical, _benchmark_config(lp_mode, config, kernel), jobs, timeout
+        cells, canonical, _benchmark_config(lp_mode, config), jobs, timeout
     )
     return _collate(selected_by_suite, canonical, cell_outcomes)
 

@@ -214,7 +214,6 @@ class ResultCache:
             key=key,
             revalidated=revalidated,
             worker_pid=os.getpid(),
-            kernel=result.lp_statistics.kernel_chosen,
         )
         return result
 

@@ -18,9 +18,8 @@ Overload hardening (see :mod:`repro.service.admission`): every compute
 passes the **admission gate** (``--max-inflight`` / ``--max-queue``) —
 load beyond both bounds is shed with ``OVERLOADED`` (-32005) carrying
 ``retry_after_seconds``; under pressure, requests are **degraded**
-(``nonterm=auto`` races dropped to termination-only, non-default kernels
-forced back to ``auto``), with every trade stamped into
-``provenance.degraded``.  A per-tool **circuit breaker** fails fast
+(``nonterm=auto`` races dropped to termination-only), with every trade
+stamped into ``provenance.degraded``.  A per-tool **circuit breaker** fails fast
 after repeated worker crashes instead of burning the pool's respawn
 budget.
 
@@ -124,26 +123,17 @@ def _analyze_request_document(document: dict) -> dict:
 def degrade_request(request: AnalysisRequest) -> Tuple[AnalysisRequest, tuple]:
     """The load-shedding degradation tier: trade precision for slots.
 
-    Under pressure the expensive halves of a request are dropped —
-    the ``nonterm="auto"`` two-thread race becomes termination-only and
-    a pinned non-default kernel falls back to ``auto`` — and each trade
-    is named in the returned tuple so the executor can stamp it into
-    ``provenance.degraded``.  A request with nothing to shed comes back
-    unchanged with an empty tuple.
+    Under pressure the expensive half of a request is dropped — the
+    ``nonterm="auto"`` two-thread race becomes termination-only — and
+    the trade is named in the returned tuple so the executor can stamp
+    it into ``provenance.degraded``.  A request with nothing to shed
+    comes back unchanged with an empty tuple.
     """
     config = request.config
-    changes = {}
-    degradations = []
-    if config.nonterm == "auto":
-        changes["nonterm"] = "off"
-        degradations.append("nonterm:auto->off")
-    if config.kernel != "auto":
-        changes["kernel"] = "auto"
-        degradations.append("kernel:%s->auto" % config.kernel)
-    if not changes:
+    if config.nonterm != "auto":
         return request, ()
-    degraded_config = dataclasses.replace(config, **changes)
-    return request.replace(config=degraded_config), tuple(degradations)
+    degraded_config = dataclasses.replace(config, nonterm="off")
+    return request.replace(config=degraded_config), ("nonterm:auto->off",)
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +163,6 @@ class _CachingExecutor:
         self.breaker = breaker
         self.timeout = timeout
         self.faults = faults if faults is not None else INERT_INJECTOR
-        # Which LP kernel served each computed payload, plus the total
-        # overflow fallbacks those payloads reported (cache hits replay
-        # the original compute and are not re-counted here).
-        self._kernel_lock = threading.Lock()
-        self._kernel_tally: dict = {"overflow_fallbacks": 0}
 
     #: Width of the analyze_batch fan-out (1 = in-order).
     @property
@@ -286,21 +271,13 @@ class _CachingExecutor:
         finally:
             if not settled:
                 self.breaker.record_neutral(request.tool)
-        kernel = result.lp_statistics.kernel_chosen
         result.provenance = Provenance(
             cache=disposition,
             key=effective.cache_key(),
             revalidated=False,
             worker_pid=pid,
             degraded=degradations,
-            kernel=kernel,
         )
-        with self._kernel_lock:
-            label = kernel or "none"
-            self._kernel_tally[label] = self._kernel_tally.get(label, 0) + 1
-            self._kernel_tally["overflow_fallbacks"] += (
-                result.lp_statistics.overflow_fallbacks
-            )
         return result
 
     def _compute(self, request: AnalysisRequest) -> Tuple[AnalysisResult, int]:
@@ -322,8 +299,6 @@ class _CachingExecutor:
             document["admission"] = self.gate.stats()
         if self.breaker is not None:
             document["breaker"] = self.breaker.stats()
-        with self._kernel_lock:
-            document["kernels"] = dict(self._kernel_tally)
         if self.faults.active:
             document["faults"] = self.faults.log.to_dict()
         return document

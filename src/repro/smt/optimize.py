@@ -64,13 +64,11 @@ class OptimizingSmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         mode: str | SearchMode = SearchMode.LOCAL,
-        kernel: str = "exact",
         lp_mode: str = "incremental",
     ):
         self._formulas: List[Formula] = []
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._mode = SearchMode(mode) if isinstance(mode, str) else mode
-        self._kernel = kernel
         self._lp_mode = lp_mode
         #: Own counters plus the :data:`SMT_COUNTERS` summed over every
         #: lazy solver a query builds.
@@ -128,7 +126,6 @@ class OptimizingSmtSolver:
     def _fresh_solver(self) -> SmtSolver:
         solver = SmtSolver(
             integer_variables=self._integer_variables,
-            kernel=self._kernel,
             lp_mode=self._lp_mode,
         )
         for formula in self._formulas:
@@ -214,19 +211,10 @@ class OptimizingSmtSolver:
                     integers,
                     Sense.MINIMIZE,
                     names,
-                    kernel=self._kernel,
                 )
             except BranchAndBoundLimit:
-                return solve_lp(
-                    objective,
-                    list(closure),
-                    Sense.MINIMIZE,
-                    names,
-                    kernel=self._kernel,
-                )
-        return solve_lp(
-            objective, list(closure), Sense.MINIMIZE, names, kernel=self._kernel
-        )
+                return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
+        return solve_lp(objective, list(closure), Sense.MINIMIZE, names)
 
     @staticmethod
     def _satisfies(

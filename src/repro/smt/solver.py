@@ -80,11 +80,9 @@ class SmtSolver:
         self,
         integer_variables: Optional[Iterable[str]] = None,
         max_theory_iterations: int = 10_000,
-        kernel: str = "exact",
         lp_mode: str = "incremental",
     ):
         self._sat = SatSolver()
-        self._kernel = kernel
         # Under lp_mode="audit" every incremental conflict core is
         # re-checked by the cold theory check.
         self._audit = lp_mode == "audit"
@@ -161,7 +159,7 @@ class SmtSolver:
             core = self._theory_check(constraints)
             if core is None:
                 outcome = check_conjunction(
-                    constraints, self._integer_variables, kernel=self._kernel
+                    constraints, self._integer_variables
                 )
                 if outcome.satisfiable:
                     return literals, outcome.model
@@ -186,9 +184,7 @@ class SmtSolver:
         self.statistics["theory_pivots"] += self._theory.pivots - pivots
         if core is not None and self._audit:
             subset = [constraints[index] for index in core]
-            if check_conjunction(
-                subset, self._integer_variables, kernel=self._kernel
-            ).satisfiable:
+            if check_conjunction(subset, self._integer_variables).satisfiable:
                 raise TheoryMismatch(
                     "incremental conflict core is feasible: %s"
                     % ", ".join(map(str, subset))

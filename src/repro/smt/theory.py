@@ -69,7 +69,6 @@ def _prepare(
 def check_conjunction(
     constraints: Sequence[Constraint],
     integer_variables: Optional[Set[str]] = None,
-    kernel: str = "exact",
 ) -> TheoryResult:
     """Decide satisfiability of a conjunction of linear constraints.
 
@@ -104,7 +103,6 @@ def check_conjunction(
             Sense.MAXIMIZE,
             all_variables,
             integer_variables,
-            kernel,
         )
         satisfiable = (
             outcome.status is LpStatus.OPTIMAL
@@ -118,7 +116,6 @@ def check_conjunction(
             Sense.MINIMIZE,
             all_variables,
             integer_variables,
-            kernel,
         )
         satisfiable = outcome.status is not LpStatus.INFEASIBLE
 
@@ -139,7 +136,6 @@ def _solve(
     sense: Sense,
     variables: Sequence[str],
     integer_variables: Set[str],
-    kernel: str = "exact",
 ):
     names = sorted(
         set(variables)
@@ -155,10 +151,9 @@ def _solve(
                 relevant_integers,
                 sense,
                 names,
-                kernel=kernel,
             )
         except BranchAndBoundLimit:
             # Fall back to the rational relaxation: for the synthesis loop a
             # rational witness is still a sound counterexample direction.
-            return solve_lp(objective, list(rows), sense, names, kernel=kernel)
-    return solve_lp(objective, list(rows), sense, names, kernel=kernel)
+            return solve_lp(objective, list(rows), sense, names)
+    return solve_lp(objective, list(rows), sense, names)

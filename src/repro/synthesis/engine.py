@@ -148,7 +148,6 @@ class CegisEngine:
         strategy,
         max_iterations: int = 200,
         lp_mode: str = "incremental",
-        kernel: str = "auto",
         observers: Sequence[CegisObserver] = (),
         should_stop: Optional[Callable[[], bool]] = None,
     ):
@@ -156,7 +155,6 @@ class CegisEngine:
         self.strategy = strategy
         self.max_iterations = max_iterations
         self.lp_mode = lp_mode
-        self.kernel = kernel
         self.should_stop = should_stop
         self._observers: List[CegisObserver] = list(observers)
 
@@ -191,9 +189,7 @@ class CegisEngine:
         exhausted or the LP proves no collected generator separable.
         """
         statistics = MonodimStatistics()
-        ranking_lp = template.make_lp(
-            statistics.lp, self.lp_mode, kernel=self.kernel
-        )
+        ranking_lp = template.make_lp(statistics.lp, self.lp_mode)
         flat_basis: List[Vector] = []
         smt_before = dict(self.oracle.smt_statistics)
         self._emit(

@@ -154,7 +154,6 @@ def has_stuttering_step(
     transition_formula: Formula,
     extra_constraints: Sequence,
     integer_mode: bool,
-    kernel: str = "exact",
     lp_mode: str = "incremental",
 ) -> bool:
     """Whether ``Φ`` admits a step with ``u = 0`` (see end of Algorithm 1)."""
@@ -162,7 +161,6 @@ def has_stuttering_step(
         integer_variables=(
             problem.smt_integer_variables() if integer_mode else ()
         ),
-        kernel=kernel,
         lp_mode=lp_mode,
     )
     solver.assert_formula(transition_formula)
@@ -205,7 +203,6 @@ class SmtOptimizingOracle(CounterexampleOracle):
                 problem.smt_integer_variables() if template.integer_mode else ()
             ),
             mode=template.smt_mode,
-            kernel=getattr(template, "kernel", "exact"),
             lp_mode=getattr(template, "lp_mode", "incremental"),
         )
         solver.assert_formula(template.transition_formula)

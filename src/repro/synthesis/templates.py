@@ -43,13 +43,11 @@ class LinearTemplate:
         problem: TerminationProblem,
         integer_mode: bool = False,
         smt_mode: str | SearchMode = SearchMode.LOCAL,
-        kernel: str = "exact",
         lp_mode: str = "incremental",
     ):
         self.problem = problem
         self.integer_mode = integer_mode
         self.smt_mode = smt_mode
-        self.kernel = kernel
         #: Passed to the SMT queries: ``"audit"`` re-checks every
         #: incremental theory conflict with the cold check.
         self.lp_mode = lp_mode
@@ -62,11 +60,9 @@ class LinearTemplate:
     def initial_candidate(self) -> AffineRankingFunction:
         return self.problem.zero_ranking()
 
-    def make_lp(
-        self, statistics: LpStatistics, lp_mode: str, kernel: str = "auto"
-    ) -> RankingLp:
+    def make_lp(self, statistics: LpStatistics, lp_mode: str) -> RankingLp:
         """A fresh ``LP(V, Constraints(I))`` instance (Definition 11)."""
-        return RankingLp(self.problem, statistics, mode=lp_mode, kernel=kernel)
+        return RankingLp(self.problem, statistics, mode=lp_mode)
 
     def objective(self, candidate: AffineRankingFunction) -> LinExpr:
         """``λ · u`` — what the oracle minimises / refutes."""
@@ -83,7 +79,6 @@ class LinearTemplate:
             self.transition_formula,
             extra_constraints,
             self.integer_mode,
-            kernel=self.kernel,
             lp_mode=self.lp_mode,
         )
 
@@ -102,14 +97,12 @@ class LexicographicTemplate(LinearTemplate):
         integer_mode: bool = False,
         smt_mode: str | SearchMode = SearchMode.LOCAL,
         max_dimension: Optional[int] = None,
-        kernel: str = "exact",
         lp_mode: str = "incremental",
     ):
         super().__init__(
             problem,
             integer_mode=integer_mode,
             smt_mode=smt_mode,
-            kernel=kernel,
             lp_mode=lp_mode,
         )
         self.max_dimension = (

@@ -17,6 +17,41 @@ from repro.cli import _config_from_arguments, build_parser
 
 ALL_COMBOS = list(itertools.product(CEX_ORACLES, CEX_STRATEGIES))
 
+#: ``AnalysisResult.to_dict()`` of the countdown loop as written by the
+#: last release with the ``kernel`` knob (service provenance stamped).
+PARENT_RESULT_JSON = """
+{"certificate_checked": true, "details": {}, "dimension": 1, "error": null,
+ "iterations": 2,
+ "lp": {"average_cols": 3.0, "average_rows": 1.0, "cex_rows": 1,
+        "cold_solves": 1, "flat_directions": 0, "instances": 1,
+        "kernel_chosen": "exact", "max_cols": 3, "max_rows": 1,
+        "oracle_queries": 2, "overflow_fallbacks": 0, "pivots": 2,
+        "pivots_saved": 0, "redundancy_lp_saved": 0, "resolved_exact": 49,
+        "resolved_packed": 0, "row_pivots": 49, "smt_core_literals": 15,
+        "smt_sat_calls": 7, "smt_theory_checks": 6,
+        "smt_theory_conflicts": 5, "smt_theory_pivots": 10,
+        "stacked_pivots": 0, "total_cols": 3, "total_rows": 1,
+        "warm_solves": 0},
+ "message": "",
+ "problem_statistics": {"blocks": 1, "cut_points": 1, "invariant_rows": 2,
+                        "paths_summarised": 1, "variables": 1},
+ "program": "program", "proved": true,
+ "provenance": {"cache": "miss", "degraded": ["kernel:packed->auto"],
+                "kernel": "exact", "key": "k", "revalidated": false,
+                "worker_pid": 1},
+ "ranking": {"components": [{"coefficients": {"loop_head_1": ["1"]},
+                             "offsets": {"loop_head_1": "-1"},
+                             "strict": true, "variables": ["x"]}]},
+ "stages": [{"name": "frontend", "seconds": 0.0006648750022577588},
+            {"name": "invariants", "seconds": 0.00632434699946316},
+            {"name": "cutset", "seconds": 4.475899913813919e-05},
+            {"name": "large_block", "seconds": 0.0009760259999893606},
+            {"name": "synthesis", "seconds": 0.01224969000031706},
+            {"name": "certificate", "seconds": 0.0020629110003937967}],
+ "status": "terminating", "time_ms": 22.323,
+ "time_seconds": 0.022322608001559274, "timed_out": false, "tool": "termite"}
+"""
+
 
 class TestConfigValidation:
     def test_defaults_replay_the_paper(self):
@@ -189,6 +224,57 @@ class TestRemovedAliases:
         from repro.linalg import in_span, orthogonal_complement  # noqa: F401
         with pytest.raises(SystemExit):
             build_parser().parse_args(["prove", "p.imp", "--cex-batch", "2"])
+
+    def test_kernel_knob_removed(self):
+        import importlib.util
+
+        import repro.api
+
+        with pytest.raises(ConfigError, match="kernel"):
+            AnalysisConfig.from_dict({"kernel": "auto"})
+        for flags in (
+            ["prove", "p.imp", "--kernel", "exact"],
+            ["table1", "--kernel", "exact"],
+            ["fuzz", "--kernel", "exact"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(flags)
+        for module in ("repro.linalg.packed", "repro.linalg.stacked"):
+            assert importlib.util.find_spec(module) is None, module
+        assert not hasattr(repro.api, "KERNELS")
+        assert "kernels" not in repro.api.CAPABILITIES
+
+    def test_numpy_is_never_imported(self):
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro.api, repro.service\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
+
+    def test_parent_result_json_still_loads(self):
+        """A result written before the kernel knob was removed (it carries
+        ``provenance.kernel`` and the int64-kernel counters) loads, so an
+        older ``--cache-dir`` stays readable."""
+        from repro.api import AnalysisResult
+
+        document = json.loads(PARENT_RESULT_JSON)
+        result = AnalysisResult.from_dict(document)
+        assert result.proved and result.certificate_checked
+        assert result.lp_statistics.pivots == 2
+        assert result.lp_statistics.row_pivots == 49
+        assert result.lp_statistics.resolved_exact == 49
+        assert result.provenance.degraded == ("kernel:packed->auto",)
+        reloaded = result.to_dict()
+        assert "kernel" not in reloaded["provenance"]
+        assert "kernel_chosen" not in reloaded["lp"]
+        assert AnalysisResult.from_dict(reloaded) == result
 
     def test_eager_generator_aliases_removed(self):
         import repro.baselines.eager_generators as eager
