@@ -22,21 +22,23 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Union
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import canonical_name, get_prover
 from repro.api.request import AnalysisRequest
 from repro.api.result import AnalysisResult, AnalysisStatus, StageTiming
+from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.relevance import restrict_to_guarded_states
+from repro.counters import recording
 from repro.frontend.lowering import compile_program
 from repro.invariants.analyzer import compute_invariants
 from repro.invariants.domain import AbstractDomain
 from repro.invariants.intervals import IntervalDomain
 from repro.invariants.invariant_map import InvariantMap
-from repro.lp.simplex import lp_counters
 from repro.program.automaton import ControlFlowAutomaton
 from repro.program.cutset import compute_cutset
 from repro.program.large_block import large_block_encoding
@@ -65,10 +67,23 @@ STAGES = BUILD_STAGES + ("synthesis", "certificate")
 ProgramLike = Union[str, ControlFlowAutomaton]
 
 
-def _lp_counters_since(snapshot: Tuple[int, int]) -> Tuple[int, int]:
-    """``(set-ups, pivots)`` of this thread's simplex since *snapshot*."""
-    setups, pivots = lp_counters()
-    return (setups - snapshot[0], pivots - snapshot[1])
+#: ``LpStatistics`` fields filled from the :mod:`repro.counters`
+#: recordings of a run, and the count each one reads.
+_COUNTED_FIELDS = (
+    ("resolved_exact", "lp.setups"),
+    ("row_pivots", "lp.pivots"),
+    ("redundancy_lp_saved", "fm.lp_calls_saved"),
+    ("smt_sat_calls", "smt.sat_calls"),
+    ("smt_theory_checks", "smt.theory_calls"),
+    ("smt_theory_conflicts", "smt.theory_conflicts"),
+    ("smt_core_literals", "smt.core_literals"),
+    ("smt_theory_pivots", "smt.theory_pivots"),
+)
+
+
+def _add_counts(statistics: LpStatistics, counts: Counter) -> None:
+    for field, name in _COUNTED_FIELDS:
+        setattr(statistics, field, getattr(statistics, field) + counts[name])
 
 
 class Analysis:
@@ -111,8 +126,7 @@ class Analysis:
         self._given_domain = domain
         self._problem: Optional[TerminationProblem] = None
         self._build_stages: List[StageTiming] = []
-        self._build_lp_saved = 0
-        self._build_lp_counts: Tuple[int, int] = (0, 0)
+        self._build_counts: Counter = Counter()
 
     # -- observers ---------------------------------------------------------------
 
@@ -173,10 +187,14 @@ class Analysis:
         """The built termination problem (cached across :meth:`run` calls)."""
         if self._problem is not None:
             return self._problem
-        from repro.polyhedra import projection
+        with recording() as counts:
+            self._problem = self._build()
+        # Like the build-stage timings, the build's counts reappear in
+        # every result of this Analysis.
+        self._build_counts = counts
+        return self._problem
 
-        build_snapshot = projection.statistics.snapshot()
-        build_lp_snapshot = lp_counters()
+    def _build(self) -> TerminationProblem:
         automaton = self.automaton()
         if not any(stage.name == "frontend" for stage in self._build_stages):
             # Automaton was given directly: record a zero-cost frontend
@@ -202,18 +220,13 @@ class Analysis:
                     automaton, cutset, invariants
                 )
             blocks = large_block_encoding(automaton, cutset)
-            self._problem = TerminationProblem(
+            return TerminationProblem(
                 automaton.variables,
                 cutset,
                 invariants,
                 blocks,
                 sorted(automaton.integer_variables),
             )
-        # Like the build-stage timings, projection savings from the
-        # shared problem build reappear in every result of this Analysis.
-        self._build_lp_saved = projection.lp_calls_saved_since(build_snapshot)
-        self._build_lp_counts = _lp_counters_since(build_lp_snapshot)
-        return self._problem
 
     def build_seconds(self) -> float:
         """Wall-clock spent building the shared problem (0.0 until built)."""
@@ -228,30 +241,17 @@ class Analysis:
         build stages are shared — their recorded timings reappear in every
         result of this :class:`Analysis`, they are *not* re-run.
         """
-        from repro.polyhedra import projection
-
         prover = get_prover(tool)
         problem = self.problem()
-        snapshot = projection.statistics.snapshot()
-        lp_snapshot = lp_counters()
         run_stages: List[StageTiming] = []
         prove_kwargs = {}
         if self._engine_observers and "events" in prover.capabilities:
             prove_kwargs["observer"] = self._notify_engine
         if self.config.nonterm != "off" and "nontermination" in prover.capabilities:
             prove_kwargs["automaton"] = self.automaton()
-        with self._stage("synthesis", run_stages):
+        with self._stage("synthesis", run_stages), recording() as counts:
             result = prover.prove(problem, self.config, **prove_kwargs)
-        result.lp_statistics.redundancy_lp_saved += (
-            self._build_lp_saved + projection.lp_calls_saved_since(snapshot)
-        )
-        # Simplex counters are global to the thread, so fold the deltas
-        # recorded around this run (plus the shared build's share) into
-        # the result the same way the projection savings are folded.
-        run_setups, run_pivots = _lp_counters_since(lp_snapshot)
-        build_setups, build_pivots = self._build_lp_counts
-        result.lp_statistics.resolved_exact += build_setups + run_setups
-        result.lp_statistics.row_pivots += build_pivots + run_pivots
+        _add_counts(result.lp_statistics, self._build_counts + counts)
         if (
             self.config.check_certificates
             and prover.supports_certificates

@@ -19,9 +19,11 @@ compatibility with the historical Table-1 command lines.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
-from typing import Callable, Optional
+from collections import Counter
+from typing import Callable, List, Optional
 
 from repro.api.config import AnalysisConfig
 from repro.api.registry import Prover, register_prover
@@ -38,6 +40,7 @@ from repro.core.certificate import check_certificate
 from repro.core.lp_instance import LpStatistics
 from repro.core.problem import TerminationProblem
 from repro.core.ranking import LexicographicRankingFunction
+from repro.counters import count, recording
 from repro.synthesis.engine import CegisEngine, MaxIterationsExceeded
 from repro.synthesis.oracles import make_oracle
 from repro.synthesis.strategies import make_strategy
@@ -228,10 +231,13 @@ class TermiteProver(Prover):
 
         stop = threading.Event()
         outcomes: dict = {}
+        lane_counts: List[Counter] = []
 
         def lane(label: str, run: Callable[[], AnalysisResult], wins) -> None:
             try:
-                result = run()
+                with recording() as counts:
+                    lane_counts.append(counts)
+                    result = run()
             except SynthesisCancelled:
                 outcomes[label] = None
                 return
@@ -245,8 +251,9 @@ class TermiteProver(Prover):
 
         threads = [
             threading.Thread(
-                target=lane,
+                target=contextvars.copy_context().run,
                 args=(
+                    lane,
                     "termination",
                     lambda: self._prove_termination(
                         problem,
@@ -261,8 +268,9 @@ class TermiteProver(Prover):
                 daemon=True,
             ),
             threading.Thread(
-                target=lane,
+                target=contextvars.copy_context().run,
                 args=(
+                    lane,
                     "nontermination",
                     lambda: self._prove_nontermination(
                         config,
@@ -281,6 +289,11 @@ class TermiteProver(Prover):
             thread.start()
         for thread in threads:
             thread.join()
+        # Each lane counted into its own recording; both lanes' work is
+        # this run's work.
+        for counts in lane_counts:
+            for name, value in counts.items():
+                count(name, value)
 
         term = outcomes.get("termination")
         nonterm = outcomes.get("nontermination")

@@ -33,7 +33,8 @@ dual/primal pivots instead of a cold two-phase solve.  Three modes exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
@@ -63,8 +64,8 @@ class LpStatistics:
     cold_solves: int = 0
     pivots_saved: int = 0
     #: LP entailment solves the projection layer's syntactic/Kohler
-    #: pruning made unnecessary during this run (attributed by the
-    #: analysis pipeline from the process-wide projection counters).
+    #: pruning made unnecessary during this run (filled by the analysis
+    #: pipeline from the ``fm.lp_calls_saved`` count of its recording).
     redundancy_lp_saved: int = 0
     #: Unified CEGIS-engine counters (see :mod:`repro.synthesis.engine`):
     #: counterexample-oracle queries issued, generator rows added to
@@ -74,14 +75,15 @@ class LpStatistics:
     cex_rows: int = 0
     flat_directions: int = 0
     #: Every simplex tableau set-up and pivot of the run, ranking LP or
-    #: not (attributed by the analysis pipeline from the thread-local
-    #: :func:`repro.lp.simplex.lp_counters`).
+    #: not (filled by the analysis pipeline from the run's
+    #: :mod:`repro.counters` recording: ``lp.setups``, ``lp.pivots``).
     resolved_exact: int = 0
     row_pivots: int = 0
-    #: Lazy-SMT counters of the counterexample oracle's queries (summed
-    #: from :attr:`repro.smt.solver.SmtSolver.statistics`): boolean models
-    #: proposed by the SAT core, incremental theory checks, conflicts
-    #: blocked, literals in their cores, and theory-simplex pivots.
+    #: Lazy-SMT counters of the run's queries (filled by the analysis
+    #: pipeline from the ``smt.*`` counts of its recording): boolean
+    #: models proposed by the SAT core, incremental theory checks,
+    #: conflicts blocked, literals in their cores, and theory-simplex
+    #: pivots.
     smt_sat_calls: int = 0
     smt_theory_checks: int = 0
     smt_theory_conflicts: int = 0
@@ -102,14 +104,6 @@ class LpStatistics:
             self.warm_solves += 1
         else:
             self.cold_solves += 1
-
-    def record_smt(self, counters: Dict[str, int]) -> None:
-        """Add :data:`repro.smt.solver.SMT_COUNTERS` values to the smt_* fields."""
-        self.smt_sat_calls += counters.get("sat_calls", 0)
-        self.smt_theory_checks += counters.get("theory_calls", 0)
-        self.smt_theory_conflicts += counters.get("theory_conflicts", 0)
-        self.smt_core_literals += counters.get("core_literals", 0)
-        self.smt_theory_pivots += counters.get("theory_pivots", 0)
 
     @property
     def average_rows(self) -> float:
@@ -133,30 +127,10 @@ class LpStatistics:
         for human readers and dashboards; :meth:`from_dict` ignores them,
         so the raw counters round-trip exactly.
         """
-        return {
-            "instances": self.instances,
-            "total_rows": self.total_rows,
-            "total_cols": self.total_cols,
-            "max_rows": self.max_rows,
-            "max_cols": self.max_cols,
-            "pivots": self.pivots,
-            "warm_solves": self.warm_solves,
-            "cold_solves": self.cold_solves,
-            "pivots_saved": self.pivots_saved,
-            "redundancy_lp_saved": self.redundancy_lp_saved,
-            "oracle_queries": self.oracle_queries,
-            "cex_rows": self.cex_rows,
-            "flat_directions": self.flat_directions,
-            "resolved_exact": self.resolved_exact,
-            "row_pivots": self.row_pivots,
-            "smt_sat_calls": self.smt_sat_calls,
-            "smt_theory_checks": self.smt_theory_checks,
-            "smt_theory_conflicts": self.smt_theory_conflicts,
-            "smt_core_literals": self.smt_core_literals,
-            "smt_theory_pivots": self.smt_theory_pivots,
-            "average_rows": self.average_rows,
-            "average_cols": self.average_cols,
-        }
+        document = {name: getattr(self, name) for name in _FIELDS}
+        document["average_rows"] = self.average_rows
+        document["average_cols"] = self.average_cols
+        return document
 
     @classmethod
     def from_dict(cls, data: dict) -> "LpStatistics":
@@ -167,50 +141,20 @@ class LpStatistics:
         ``stacked_pivots``, ``overflow_fallbacks``, ``kernel_chosen``)
         load unchanged.
         """
-        return cls(
-            instances=data.get("instances", 0),
-            total_rows=data.get("total_rows", 0),
-            total_cols=data.get("total_cols", 0),
-            max_rows=data.get("max_rows", 0),
-            max_cols=data.get("max_cols", 0),
-            pivots=data.get("pivots", 0),
-            warm_solves=data.get("warm_solves", 0),
-            cold_solves=data.get("cold_solves", 0),
-            pivots_saved=data.get("pivots_saved", 0),
-            redundancy_lp_saved=data.get("redundancy_lp_saved", 0),
-            oracle_queries=data.get("oracle_queries", 0),
-            cex_rows=data.get("cex_rows", 0),
-            flat_directions=data.get("flat_directions", 0),
-            resolved_exact=data.get("resolved_exact", 0),
-            row_pivots=data.get("row_pivots", 0),
-            smt_sat_calls=data.get("smt_sat_calls", 0),
-            smt_theory_checks=data.get("smt_theory_checks", 0),
-            smt_theory_conflicts=data.get("smt_theory_conflicts", 0),
-            smt_core_literals=data.get("smt_core_literals", 0),
-            smt_theory_pivots=data.get("smt_theory_pivots", 0),
-        )
+        return cls(**{name: data.get(name, 0) for name in _FIELDS})
 
     def merge(self, other: "LpStatistics") -> None:
-        self.instances += other.instances
-        self.total_rows += other.total_rows
-        self.total_cols += other.total_cols
-        self.max_rows = max(self.max_rows, other.max_rows)
-        self.max_cols = max(self.max_cols, other.max_cols)
-        self.pivots += other.pivots
-        self.warm_solves += other.warm_solves
-        self.cold_solves += other.cold_solves
-        self.pivots_saved += other.pivots_saved
-        self.redundancy_lp_saved += other.redundancy_lp_saved
-        self.oracle_queries += other.oracle_queries
-        self.cex_rows += other.cex_rows
-        self.flat_directions += other.flat_directions
-        self.resolved_exact += other.resolved_exact
-        self.row_pivots += other.row_pivots
-        self.smt_sat_calls += other.smt_sat_calls
-        self.smt_theory_checks += other.smt_theory_checks
-        self.smt_theory_conflicts += other.smt_theory_conflicts
-        self.smt_core_literals += other.smt_core_literals
-        self.smt_theory_pivots += other.smt_theory_pivots
+        """Add *other*'s counters in (the ``max_*`` sizes take the maximum)."""
+        for name in _FIELDS:
+            combine = max if name in _MAXIMA else operator.add
+            setattr(self, name, combine(getattr(self, name), getattr(other, name)))
+
+
+#: Every counter of :class:`LpStatistics`, in declaration (and JSON) order.
+_FIELDS = tuple(spec.name for spec in fields(LpStatistics))
+
+#: The counters :meth:`LpStatistics.merge` combines by ``max``, not ``+``.
+_MAXIMA = frozenset({"max_rows", "max_cols"})
 
 
 @dataclass

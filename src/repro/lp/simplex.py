@@ -23,10 +23,10 @@ Two entry points are provided:
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.counters import count
 from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -40,32 +40,6 @@ _ONE = Fraction(1)
 #: real column, and a single fused row operation updates coefficients and
 #: rhs together.
 _RHS = -1
-
-
-class _Counters(threading.local):
-    """Per-thread totals of tableau set-ups and pivots.
-
-    Thread-local so two provers racing in one process (``nonterm=auto``)
-    never fold each other's work into their results.
-    """
-
-    def __init__(self) -> None:
-        self.setups = 0
-        self.pivots = 0
-
-
-_counters = _Counters()
-
-
-def lp_counters() -> Tuple[int, int]:
-    """This thread's running ``(tableau set-ups, pivots)`` totals.
-
-    Every :func:`solve_lp` call and every cold :class:`SimplexState`
-    solve is one set-up; every pivot of any tableau counts.  The analysis
-    pipeline takes the difference around a run to fill
-    ``LpStatistics.resolved_exact`` / ``row_pivots``.
-    """
-    return (_counters.setups, _counters.pivots)
 
 
 def _spread_terms(
@@ -345,7 +319,7 @@ class _Tableau:
             )
         self.basis[row] = col
         self.pivot_count += 1
-        _counters.pivots += 1
+        count("lp.pivots")
 
     def reduced_cost_at(self, col: int) -> Fraction:
         """Reduced cost of one column for the current basis."""
@@ -571,7 +545,7 @@ def solve_lp(
     )
 
     num_cols = standard.num_columns
-    _counters.setups += 1
+    count("lp.setups")
     feasible, tableau, artificial_start = _two_phase(standard)
     if not feasible:
         return LpResult(status=LpStatus.INFEASIBLE, pivots=tableau.pivot_count)
@@ -769,7 +743,7 @@ class SimplexState:
             nonnegative,
         )
         num_cols = standard.num_columns
-        _counters.setups += 1
+        count("lp.setups")
         feasible, tableau, _ = _two_phase(standard)
         if not feasible:
             self._record(tableau.pivot_count, warm=False)

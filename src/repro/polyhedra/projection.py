@@ -25,17 +25,24 @@ Three layers keep the row count down, cheapest first:
    :func:`remove_redundant` run once at the end of a projection (and
    mid-flight only if the system still outgrows a safety threshold),
    instead of once per constraint per eliminated variable as the dense
-   implementation did.  :data:`statistics` counts how many LP solves the
-   cheap layers saved.
+   implementation did.
+
+The work is counted through :func:`repro.counters.count`:
+``fm.lp_calls`` exact LP entailment checks solved, ``fm.lp_calls_saved``
+the ones the cheap layers made unnecessary (only *dominated* and
+Kohler-pruned rows count, because those are exactly the rows per-step LP
+pruning would have entailment-checked), ``fm.rows_pruned_syntactic`` and
+``fm.rows_pruned_kohler`` the rows each cheap layer dropped, plus
+``fm.variables_eliminated`` and ``fm.combinations``.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import gcd
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from repro.counters import count
 from repro.linalg.sparse import SparseRow
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
@@ -49,71 +56,6 @@ _CONST = -1
 #: it exceeds this multiple of its pre-step size does the expensive
 #: LP-based pruning run mid-flight instead of once at the end.
 _LP_PRUNE_GROWTH = 4
-
-
-class ProjectionStatistics(threading.local):
-    """Per-thread counters for the work (and the avoided work) of FM elimination.
-
-    ``lp_calls`` is the number of exact LP entailment checks actually
-    solved; ``lp_calls_saved`` the number the cheap layers made
-    unnecessary — only *dominated* (not duplicate, not trivially-true)
-    and Kohler-pruned rows count, because those are exactly the rows the
-    per-step LP pruning of the previous implementation would have
-    entailment-checked; ``rows_eliminated`` the number of rows dropped
-    by any cheap layer.
-
-    Thread-local: every thread folds into its own attributes, so
-    concurrent analyses (e.g. the ``nonterm=auto`` race) can never
-    corrupt each other's counters or mis-attribute saved LP calls.
-    """
-
-    def __init__(self) -> None:
-        self.variables_eliminated = 0
-        self.combinations = 0
-        self.lp_calls = 0
-        self.lp_calls_saved = 0
-        self.rows_pruned_syntactic = 0
-        self.rows_pruned_kohler = 0
-
-    @property
-    def rows_eliminated(self) -> int:
-        return self.rows_pruned_syntactic + self.rows_pruned_kohler
-
-    def snapshot(self) -> Tuple[int, ...]:
-        return (
-            self.variables_eliminated,
-            self.combinations,
-            self.lp_calls,
-            self.lp_calls_saved,
-            self.rows_pruned_syntactic,
-            self.rows_pruned_kohler,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "variables_eliminated": self.variables_eliminated,
-            "combinations": self.combinations,
-            "lp_calls": self.lp_calls,
-            "lp_calls_saved": self.lp_calls_saved,
-            "rows_pruned_syntactic": self.rows_pruned_syntactic,
-            "rows_pruned_kohler": self.rows_pruned_kohler,
-            "rows_eliminated": self.rows_eliminated,
-        }
-
-
-#: The per-thread counters; :func:`repro.api.pipeline` snapshots them
-#: around a run to attribute saved LP calls to that run's ``LpStatistics``.
-statistics = ProjectionStatistics()
-
-
-def lp_calls_saved_since(snapshot: Tuple[int, ...]) -> int:
-    """LP calls saved since *snapshot* (from :meth:`ProjectionStatistics.snapshot`).
-
-    Both the snapshot and this read resolve against the calling thread's
-    counters, so the difference is meaningful only when taken on the
-    thread that performed the projections.
-    """
-    return statistics.lp_calls_saved - snapshot[3]
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +145,11 @@ def _prune_syntactic(rows: List[_HistRow]) -> List[_HistRow]:
             # counted as saved LP calls: the LP-based pruning never
             # entailment-checked those either.
             if _is_trivially_true(row, relation):
-                statistics.rows_pruned_syntactic += 1
+                count("fm.rows_pruned_syntactic")
                 continue
             identity = (row, relation)
             if identity in passthrough_seen:
-                statistics.rows_pruned_syntactic += 1
+                count("fm.rows_pruned_syntactic")
                 continue
             passthrough_seen.add(identity)
             passthrough.append(entry)
@@ -240,12 +182,12 @@ def _prune_syntactic(rows: List[_HistRow]) -> List[_HistRow]:
                 or (strict == held_strict and len(history) < held_history)
             )
         )
-        statistics.rows_pruned_syntactic += 1
+        count("fm.rows_pruned_syntactic")
         if constant != held_constant or strict != held_strict:
             # A genuinely dominated (not duplicate) row: the previous
             # implementation would have paid an LP entailment check to
             # discover it.
-            statistics.lp_calls_saved += 1
+            count("fm.lp_calls_saved")
         if tighter:
             best[key] = (constant, strict, len(history))
             keyed[key] = entry
@@ -273,7 +215,7 @@ def _combine_pair(
         if upper_relation is Relation.LT or lower_relation is Relation.LT
         else Relation.LE
     )
-    statistics.combinations += 1
+    count("fm.combinations")
     return combined, relation, upper_history | lower_history
 
 
@@ -319,8 +261,8 @@ def _eliminate_index(
             if _is_trivially_true(combined, relation):
                 continue
             if kohler_bound is not None and len(history) > kohler_bound:
-                statistics.rows_pruned_kohler += 1
-                statistics.lp_calls_saved += 1
+                count("fm.rows_pruned_kohler")
+                count("fm.lp_calls_saved")
                 continue
             result.append((combined, relation, history))
     return result
@@ -340,7 +282,7 @@ def eliminate_variable(
     ]
     # A single step eliminates one variable: Kohler's bound is k + 1 = 2.
     survivors = _prune_syntactic(_eliminate_index(rows, index, 2))
-    statistics.variables_eliminated += 1
+    count("fm.variables_eliminated")
     return [
         _row_constraint(row, relation, names)
         for row, relation, _ in survivors
@@ -377,7 +319,7 @@ def fourier_motzkin(
         rows = _eliminate_index(
             rows, index, eliminated + 1 if simplify else None
         )
-        statistics.variables_eliminated += 1
+        count("fm.variables_eliminated")
         if simplify:
             rows = _prune_syntactic(rows)
             if len(rows) > _LP_PRUNE_GROWTH * baseline:
@@ -423,7 +365,7 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
 
     Duplicates and syntactically dominated constraints are removed
     first; each *dominated* drop is one LP solve saved (duplicates were
-    always caught without an LP), counted in :data:`statistics`.  Each
+    always caught without an LP), counted as ``fm.lp_calls_saved``.  Each
     remaining inequality is then tested for entailment by maximising
     its left-hand side subject to the others.
     """
@@ -435,7 +377,7 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
             continue
         key = (normal.expr, normal.relation)
         if key in seen:
-            statistics.rows_pruned_syntactic += 1
+            count("fm.rows_pruned_syntactic")
             continue
         seen.add(key)
         unique.append(normal)
@@ -465,7 +407,7 @@ def remove_redundant(constraints: Sequence[Constraint]) -> List[Constraint]:
         # examined; this never drops two mutually redundant constraints.
         others = result + unique[index + 1 :]
         context = [c.weaken() for c in others]
-        statistics.lp_calls += 1
+        count("fm.lp_calls")
         outcome = solve_lp(candidate.expr, context, Sense.MAXIMIZE)
         if outcome.is_optimal and outcome.objective is not None and (
             outcome.objective <= 0

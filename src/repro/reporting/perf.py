@@ -119,6 +119,7 @@ def bench_simplex(quick: bool = False, seed: int = 0) -> Dict:
 
 def bench_projection(quick: bool = False, seed: int = 0) -> Dict:
     """Seeded Fourier–Motzkin projections, counting pruned rows."""
+    from repro.counters import recording
     from repro.linexpr.constraint import Constraint, Relation
     from repro.linexpr.expr import LinExpr
     from repro.polyhedra import projection
@@ -127,38 +128,34 @@ def bench_projection(quick: bool = False, seed: int = 0) -> Dict:
     systems = 10 if quick else 40
     names = ["a", "b", "c", "d", "e"]
 
-    snapshot = projection.statistics.snapshot()
     started = time.perf_counter()
-    for _ in range(systems):
-        constraints = []
-        for _ in range(rng.randint(4, 8)):
-            terms = {
-                name: Fraction(rng.randint(-3, 3))
-                for name in rng.sample(names, rng.randint(1, 3))
-            }
-            constraints.append(
-                Constraint(
-                    LinExpr(terms, Fraction(rng.randint(-5, 5))), Relation.LE
+    with recording() as counts:
+        for _ in range(systems):
+            constraints = []
+            for _ in range(rng.randint(4, 8)):
+                terms = {
+                    name: Fraction(rng.randint(-3, 3))
+                    for name in rng.sample(names, rng.randint(1, 3))
+                }
+                constraints.append(
+                    Constraint(
+                        LinExpr(terms, Fraction(rng.randint(-5, 5))), Relation.LE
+                    )
                 )
-            )
-        drop = rng.sample(names, rng.randint(1, 3))
-        projection.fourier_motzkin(constraints, drop)
+            drop = rng.sample(names, rng.randint(1, 3))
+            projection.fourier_motzkin(constraints, drop)
     wall = time.perf_counter() - started
-    after = projection.statistics
 
     return {
         "suite": "projection",
         "wall_seconds": round(wall, 4),
         "systems": systems,
-        "variables_eliminated": after.variables_eliminated - snapshot[0],
-        "combinations": after.combinations - snapshot[1],
-        "lp_calls": after.lp_calls - snapshot[2],
-        "lp_calls_saved": after.lp_calls_saved - snapshot[3],
+        "variables_eliminated": counts["fm.variables_eliminated"],
+        "combinations": counts["fm.combinations"],
+        "lp_calls": counts["fm.lp_calls"],
+        "lp_calls_saved": counts["fm.lp_calls_saved"],
         "rows_eliminated": (
-            after.rows_pruned_syntactic
-            + after.rows_pruned_kohler
-            - snapshot[4]
-            - snapshot[5]
+            counts["fm.rows_pruned_syntactic"] + counts["fm.rows_pruned_kohler"]
         ),
     }
 

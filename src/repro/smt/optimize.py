@@ -30,7 +30,7 @@ from repro.linexpr.formula import Formula, atom
 from repro.lp.branch_bound import BranchAndBoundLimit, solve_ilp
 from repro.lp.problem import LpResult, LpStatus, Sense
 from repro.lp.simplex import solve_lp
-from repro.smt.solver import SMT_COUNTERS, SmtSolver, SmtStatus
+from repro.smt.solver import SmtSolver, SmtStatus
 
 
 class SearchMode(enum.Enum):
@@ -70,13 +70,6 @@ class OptimizingSmtSolver:
         self._integer_variables: Set[str] = set(integer_variables or ())
         self._mode = SearchMode(mode) if isinstance(mode, str) else mode
         self._lp_mode = lp_mode
-        #: Own counters plus the :data:`SMT_COUNTERS` summed over every
-        #: lazy solver a query builds.
-        self.statistics: Dict[str, int] = {
-            "queries": 0,
-            "assignments_explored": 0,
-            **dict.fromkeys(SMT_COUNTERS, 0),
-        }
 
     # -- construction ------------------------------------------------------------
 
@@ -91,32 +84,20 @@ class OptimizingSmtSolver:
 
     def check(self) -> OptimizationResult:
         """Plain satisfiability of the asserted conjunction."""
-        solver = self._fresh_solver()
-        try:
-            result = solver.check()
-        finally:
-            self._absorb(solver)
+        result = self._fresh_solver().check()
         return OptimizationResult(result.status, model=result.model)
 
     def minimize(self, objective: LinExpr) -> OptimizationResult:
         """Minimise *objective*; extremal model or ray per the search mode."""
-        self.statistics["queries"] += 1
-        solver = self._fresh_solver()
         best: Optional[OptimizationResult] = None
-        try:
-            for constraints, model in solver.enumerate_assignments():
-                self.statistics["assignments_explored"] += 1
-                candidate = self._minimize_in_disjunct(
-                    objective, constraints, model
-                )
-                if candidate.unbounded:
-                    return candidate
-                if best is None or self._improves(candidate, best):
-                    best = candidate
-                if self._mode is SearchMode.LOCAL:
-                    break
-        finally:
-            self._absorb(solver)
+        for constraints, model in self._fresh_solver().enumerate_assignments():
+            candidate = self._minimize_in_disjunct(objective, constraints, model)
+            if candidate.unbounded:
+                return candidate
+            if best is None or self._improves(candidate, best):
+                best = candidate
+            if self._mode is SearchMode.LOCAL:
+                break
         if best is None:
             return OptimizationResult(SmtStatus.UNSAT)
         return best
@@ -131,10 +112,6 @@ class OptimizingSmtSolver:
         for formula in self._formulas:
             solver.assert_formula(formula)
         return solver
-
-    def _absorb(self, solver: SmtSolver) -> None:
-        for key in SMT_COUNTERS:
-            self.statistics[key] += solver.statistics[key]
 
     @staticmethod
     def _improves(

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.counters import count
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.formula import (
     And,
@@ -40,15 +41,6 @@ from repro.smt.cnf import CnfEncoder
 from repro.smt.lra import LraSolver, TheoryMismatch
 from repro.smt.sat import SatSolver
 from repro.smt.theory import check_conjunction
-
-#: The counters of :attr:`SmtSolver.statistics`, summed by the layers above.
-SMT_COUNTERS = (
-    "sat_calls",
-    "theory_calls",
-    "theory_conflicts",
-    "core_literals",
-    "theory_pivots",
-)
 
 
 class SmtStatus(enum.Enum):
@@ -92,7 +84,6 @@ class SmtSolver:
         self._free_variables: Set[str] = set()
         self._roots: List[Formula] = []
         self._max_theory_iterations = max_theory_iterations
-        self.statistics: Dict[str, int] = dict.fromkeys(SMT_COUNTERS, 0)
 
     # -- problem construction ---------------------------------------------------
 
@@ -150,7 +141,7 @@ class SmtSolver:
                     "theory/SAT refinement did not converge within %d rounds"
                     % self._max_theory_iterations
                 )
-            self.statistics["sat_calls"] += 1
+            count("smt.sat_calls")
             boolean_model = self._sat.solve()
             if boolean_model is None:
                 return None
@@ -172,16 +163,16 @@ class SmtSolver:
                 # Integer infeasible although rationally consistent: no
                 # Farkas row explains it, so block the whole assignment.
                 core = outcome.core
-            self.statistics["theory_conflicts"] += 1
-            self.statistics["core_literals"] += len(core)
+            count("smt.theory_conflicts")
+            count("smt.core_literals", len(core))
             self._sat.add_clause([-literals[index] for index in core])
 
     def _theory_check(self, constraints: List[Constraint]) -> Optional[List[int]]:
         """The incremental check: a conflict core, or ``None`` if consistent."""
-        self.statistics["theory_calls"] += 1
+        count("smt.theory_calls")
         pivots = self._theory.pivots
         core = self._theory.check(constraints)
-        self.statistics["theory_pivots"] += self._theory.pivots - pivots
+        count("smt.theory_pivots", self._theory.pivots - pivots)
         if core is not None and self._audit:
             subset = [constraints[index] for index in core]
             if check_conjunction(subset, self._integer_variables).satisfiable:

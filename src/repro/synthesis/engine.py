@@ -191,7 +191,6 @@ class CegisEngine:
         statistics = MonodimStatistics()
         ranking_lp = template.make_lp(statistics.lp, self.lp_mode)
         flat_basis: List[Vector] = []
-        smt_before = dict(self.oracle.smt_statistics)
         self._emit(
             "component_start",
             component,
@@ -211,12 +210,6 @@ class CegisEngine:
         finally:
             # Merge even when the iteration budget blows: the caller's
             # shared statistics must reflect the work actually performed.
-            statistics.lp.record_smt(
-                {
-                    key: value - smt_before[key]
-                    for key, value in self.oracle.smt_statistics.items()
-                }
-            )
             if lp_statistics is not None:
                 lp_statistics.merge(statistics.lp)
 

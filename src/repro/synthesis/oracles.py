@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.problem import ONE_COORDINATE, TerminationProblem
+from repro.counters import count
 from repro.linalg.span import in_span, orthogonal_complement
 from repro.linalg.vector import Vector
 from repro.linexpr.constraint import Constraint
@@ -44,7 +45,6 @@ from repro.linexpr.expr import LinExpr
 from repro.linexpr.formula import Formula, conjunction, disjunction
 from repro.linexpr.transform import prime_suffix
 from repro.smt.optimize import OptimizingSmtSolver
-from repro.smt.solver import SMT_COUNTERS
 
 #: Registry names of the built-in oracles, in preference order.
 ORACLE_NAMES = ("smt", "dd", "sampling")
@@ -91,17 +91,6 @@ class CounterexampleOracle(abc.ABC):
 
     #: Stable registry name (the ``cex_oracle`` config value).
     name: str = ""
-
-    def __init__(self) -> None:
-        self.statistics: Dict[str, int] = {
-            "queries": 0,
-            "smt_queries": 0,
-            "candidates": 0,
-        }
-        #: :data:`~repro.smt.solver.SMT_COUNTERS` summed over every SMT
-        #: query this oracle issued; the engine folds them into
-        #: :class:`~repro.core.lp_instance.LpStatistics`.
-        self.smt_statistics: Dict[str, int] = dict.fromkeys(SMT_COUNTERS, 0)
 
     def reset(self, template, extra_constraints: Sequence = ()) -> None:
         """Prepare for one component of *template* (called by the engine)."""
@@ -213,8 +202,7 @@ class SmtOptimizingOracle(CounterexampleOracle):
         return solver
 
     def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        self.statistics["queries"] += 1
-        self.statistics["smt_queries"] += 1
+        count("oracle.smt_queries")
         problem = self._template.problem
         solver = self._build_query(request.objective, request.flat_basis)
         if request.want_extremal:
@@ -223,8 +211,6 @@ class SmtOptimizingOracle(CounterexampleOracle):
             # Same query, no minimisation: an arbitrary theory model —
             # the non-extremal half of the paper's §4.2 ablation.
             outcome = solver.check()
-        for key in SMT_COUNTERS:
-            self.smt_statistics[key] += solver.statistics[key]
         if outcome.is_unsat:
             return []
         witness = problem.difference_vector(outcome.model)
@@ -243,7 +229,6 @@ class SmtOptimizingOracle(CounterexampleOracle):
             )
             if not ray.is_zero():
                 group.append(Witness(vector=ray, kind="ray", origin=self.name))
-        self.statistics["candidates"] += 1
         return [group]
 
 
@@ -386,7 +371,6 @@ class DdEnumerationOracle(CounterexampleOracle):
         super().reset(template, extra_constraints)
         self._names = template.problem.difference_variables()
         self._confirmation = SmtOptimizingOracle()
-        self._confirmation.smt_statistics = self.smt_statistics
         self._confirmation.reset(template, extra_constraints)
         self._generators = self._enumerate(template, extra_constraints)
         self._vertices_by_disjunct: Dict[int, List[Vector]] = {}
@@ -459,7 +443,6 @@ class DdEnumerationOracle(CounterexampleOracle):
         ]
 
     def find(self, request: OracleRequest) -> List[WitnessGroup]:
-        self.statistics["queries"] += 1
         groups: List[WitnessGroup] = []
         flat_basis = list(request.flat_basis)
         for index, generator in enumerate(self._generators):
@@ -474,12 +457,10 @@ class DdEnumerationOracle(CounterexampleOracle):
                 # so further span/dot checks would be thrown away.
                 break
         if groups:
-            self.statistics["candidates"] += len(groups)
             return groups
         # No un-consumed generator violates: confirm exhaustion with the
         # complete query (covers degenerate DD output and interactions
         # between AvoidSpace and non-generator points).
-        self.statistics["smt_queries"] += 1
         return self._confirmation.find(replace(request, want_extremal=True))
 
     def consumed(self, group: WitnessGroup) -> None:

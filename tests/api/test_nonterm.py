@@ -1,6 +1,7 @@
 """Nontermination through the API: config knobs, results, pipeline, race."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.api import (
 
 NONTERM = "var x; while (x >= 0) { x = x + 1; }"
 TERM = "var x; while (x > 0) { x = x - 1; }"
+LISTING1 = Path(__file__).resolve().parents[2] / "examples" / "listing1.imp"
 
 
 class TestConfig:
@@ -129,3 +131,39 @@ class TestRace:
     def test_acyclic_program_short_circuits(self):
         result = analyze("var x; x = 1;", config=AnalysisConfig(nonterm="auto"))
         assert result.status is AnalysisStatus.TERMINATING
+
+
+def _fuzz_countdown():
+    from repro.checking.generator import ProgramGenerator
+
+    (program,) = ProgramGenerator(1).programs(1)
+    assert program.name == "fuzz-1-0-countdown"
+    return program.source
+
+
+class TestRaceCounters:
+    """A race result counts the simplex work of both lanes.
+
+    The termination lane wins these programs and runs to completion, so
+    an ``auto`` result holds at least the work of the ``off`` one.  The
+    nontermination lane makes no SMT calls, so the ``smt_*`` counts agree.
+    """
+
+    @pytest.mark.parametrize(
+        "source",
+        [LISTING1.read_text, _fuzz_countdown],
+        ids=["listing1", "fuzz-1-0-countdown"],
+    )
+    def test_auto_counts_at_least_the_termination_lane(self, source):
+        program = source()
+        off, auto = (
+            analyze(program, config=AnalysisConfig(nonterm=mode))
+            for mode in ("off", "auto")
+        )
+        assert off.proved and auto.proved
+        off_lp, auto_lp = off.lp_statistics.to_dict(), auto.lp_statistics.to_dict()
+        assert auto_lp["row_pivots"] >= off_lp["row_pivots"]
+        assert auto_lp["resolved_exact"] >= off_lp["resolved_exact"]
+        smt = [key for key in off_lp if key.startswith("smt_")]
+        assert len(smt) == 5
+        assert {key: auto_lp[key] for key in smt} == {key: off_lp[key] for key in smt}

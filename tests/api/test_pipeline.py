@@ -119,7 +119,7 @@ class TestProjectionSavingsAttribution:
         )
         first = analysis.run("termite")
         second = analysis.run("heuristic")
-        build_share = analysis._build_lp_saved
+        build_share = analysis._build_counts["fm.lp_calls_saved"]
         assert build_share > 0
         assert first.lp_statistics.redundancy_lp_saved >= build_share
         assert second.lp_statistics.redundancy_lp_saved >= build_share

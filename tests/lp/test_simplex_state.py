@@ -13,9 +13,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.counters import recording
 from repro.linexpr.expr import LinExpr, var
 from repro.lp.problem import LpStatus, Sense
-from repro.lp.simplex import SimplexState, lp_counters, solve_lp
+from repro.lp.simplex import SimplexState, solve_lp
 
 x, y, z = var("x"), var("y"), var("z")
 
@@ -293,24 +294,22 @@ class TestBatchedRepair:
 
 
 class TestLpCounters:
-    """``lp_counters`` feeds ``LpStatistics.resolved_exact``/``row_pivots``."""
+    """``lp.setups``/``lp.pivots`` feed ``LpStatistics.resolved_exact``/``row_pivots``."""
 
     def test_one_shot_solve_is_one_setup_and_its_pivots(self):
-        before = lp_counters()
-        result = solve_lp(x + y, [x <= 3, y <= 4, x + y >= 1], Sense.MAXIMIZE)
-        setups, pivots = lp_counters()
+        with recording() as counts:
+            result = solve_lp(x + y, [x <= 3, y <= 4, x + y >= 1], Sense.MAXIMIZE)
         assert result.pivots > 0
-        assert (setups - before[0], pivots - before[1]) == (1, result.pivots)
+        assert (counts["lp.setups"], counts["lp.pivots"]) == (1, result.pivots)
 
     def test_warm_solves_count_pivots_but_no_setup(self):
         state = SimplexState(Sense.MAXIMIZE)
         state.add_constraints([x <= 3, y <= 4, x >= 0, y >= 0])
         state.set_objective(x + y)
-        before = lp_counters()
-        state.solve()
-        state.add_constraint(x + y <= 5)
-        state.solve()
-        setups, pivots = lp_counters()
+        with recording() as counts:
+            state.solve()
+            state.add_constraint(x + y <= 5)
+            state.solve()
         assert state.cold_solves == 1 and state.warm_solves == 1
-        assert setups - before[0] == 1
-        assert pivots - before[1] == state.total_pivots
+        assert counts["lp.setups"] == 1
+        assert counts["lp.pivots"] == state.total_pivots

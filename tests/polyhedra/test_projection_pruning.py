@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from repro.checking.farkas import Refutation, decide_system
+from repro.counters import recording
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.polyhedra import projection
@@ -84,46 +85,48 @@ class TestPrunedMatchesNaive:
 class TestPruningActuallyPrunes:
     def test_dominated_rows_counted_as_saved_lp_calls(self):
         x, y = var("x"), var("y")
-        before = projection.statistics.snapshot()
-        result = projection.remove_redundant(
-            [x <= 1, x <= 5, x <= 9, y >= 0]
-        )
+        with recording() as counts:
+            result = projection.remove_redundant(
+                [x <= 1, x <= 5, x <= 9, y >= 0]
+            )
         assert len(result) == 2
         # x ≤ 5 and x ≤ 9 are syntactically dominated by x ≤ 1: two LP
         # solves the previous implementation would have paid.
-        assert projection.lp_calls_saved_since(before) >= 2
+        assert counts["fm.lp_calls_saved"] >= 2
 
     def test_kohler_prunes_on_dense_eliminations(self):
-        rng = random.Random(3)
-        before = projection.statistics.rows_pruned_kohler
-        for seed in range(40):
-            rng = random.Random(seed)
-            system = _random_system(rng, 8)
-            projection.fourier_motzkin(system, NAMES[:3], simplify=True)
-        assert projection.statistics.rows_pruned_kohler > before
+        with recording() as counts:
+            for seed in range(40):
+                rng = random.Random(seed)
+                system = _random_system(rng, 8)
+                projection.fourier_motzkin(system, NAMES[:3], simplify=True)
+        assert counts["fm.rows_pruned_kohler"] > 0
 
     def test_duplicate_constraints_not_counted_as_saved(self):
         # Duplicates were always dropped without an LP (the seen-set
         # existed pre-kernel), so they prune rows without crediting
         # lp_calls_saved.
         x = var("x")
-        before = projection.statistics.snapshot()
-        pruned_before = projection.statistics.rows_pruned_syntactic
-        result = projection.remove_redundant([x <= 1, 2 * x <= 2])
+        with recording() as counts:
+            result = projection.remove_redundant([x <= 1, 2 * x <= 2])
         assert len(result) == 1
-        assert projection.lp_calls_saved_since(before) == 0
-        assert projection.statistics.rows_pruned_syntactic > pruned_before
+        assert counts["fm.lp_calls_saved"] == 0
+        assert counts["fm.rows_pruned_syntactic"] > 0
 
 
 class TestStatisticsSchema:
     def test_to_dict_keys(self):
-        document = projection.statistics.to_dict()
+        with recording() as counts:
+            for seed in range(40):
+                system = _random_system(random.Random(seed), 8)
+                projection.fourier_motzkin(system, NAMES[:3], simplify=True)
+            x = var("x")
+            projection.remove_redundant([x <= 1, x <= 5])
         assert {
-            "variables_eliminated",
-            "combinations",
-            "lp_calls",
-            "lp_calls_saved",
-            "rows_pruned_syntactic",
-            "rows_pruned_kohler",
-            "rows_eliminated",
-        } <= set(document)
+            "fm.variables_eliminated",
+            "fm.combinations",
+            "fm.lp_calls",
+            "fm.lp_calls_saved",
+            "fm.rows_pruned_syntactic",
+            "fm.rows_pruned_kohler",
+        } <= set(counts)

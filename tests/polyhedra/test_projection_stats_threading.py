@@ -1,22 +1,22 @@
-"""Thread isolation of the FM projection statistics.
+"""Thread isolation of the FM projection counts.
 
-The module-level ``projection.statistics`` handle is a thread-local
-proxy: concurrent projections (the ``nonterm=auto`` race runs two
-provers in one process) must never interleave counter increments or
-fold each other's ``lp_calls_saved`` into their results.  These tests
-run identical projection workloads concurrently and assert every thread
-observed exactly the counters of its *own* work — byte-identical to a
-solo run of the same workload.
+A :func:`repro.counters.recording` belongs to its context, and every
+thread starts without one: concurrent projections (the ``nonterm=auto``
+race runs two provers in one process) must never interleave counter
+increments or fold each other's ``fm.lp_calls_saved`` into their
+results.  These tests run identical projection workloads concurrently
+and assert every thread recorded exactly the counts of its *own* work —
+identical to a solo run of the same workload.
 """
 
 import threading
 from fractions import Fraction
 
 from repro.api import AnalysisConfig, AnalysisRequest, analyze
+from repro.counters import recording
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr
-from repro.polyhedra import projection
-from repro.polyhedra.projection import fourier_motzkin, lp_calls_saved_since
+from repro.polyhedra.projection import fourier_motzkin
 
 NESTED = """
 var i, j, n;
@@ -63,12 +63,11 @@ class TestCounterIsolation:
         observed = {}
 
         def run(label):
-            snapshot = projection.statistics.snapshot()
-            barrier.wait()
-            for _ in range(repeats):
-                _workload()
-            after = projection.statistics.snapshot()
-            observed[label] = tuple(b - a for a, b in zip(snapshot, after))
+            with recording() as counts:
+                barrier.wait()
+                for _ in range(repeats):
+                    _workload()
+            observed[label] = counts
 
         threads = [
             threading.Thread(target=run, args=(name,))
@@ -80,26 +79,22 @@ class TestCounterIsolation:
             thread.join()
 
         # Solo baseline on this (third) thread.
-        solo_before = projection.statistics.snapshot()
-        for _ in range(repeats):
-            _workload()
-        solo = tuple(
-            b - a
-            for a, b in zip(solo_before, projection.statistics.snapshot())
-        )
+        with recording() as solo:
+            for _ in range(repeats):
+                _workload()
 
         assert observed["first"] == solo
         assert observed["second"] == solo
         # The workload is non-trivial (the counters actually moved).
-        assert any(delta > 0 for delta in solo)
+        assert any(value > 0 for value in solo.values())
 
     def test_other_threads_do_not_disturb_a_snapshot(self):
-        snapshot = projection.statistics.snapshot()
-        worker = threading.Thread(target=_workload)
-        worker.start()
-        worker.join()
-        assert lp_calls_saved_since(snapshot) == 0
-        assert projection.statistics.snapshot() == snapshot
+        with recording() as counts:
+            worker = threading.Thread(target=_workload)
+            worker.start()
+            worker.join()
+        assert counts["fm.lp_calls_saved"] == 0
+        assert not counts
 
 
 class TestConcurrentProvers:

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.counters import recording
 from repro.linexpr.constraint import Constraint, Relation
 from repro.linexpr.expr import LinExpr, var
 from repro.linexpr.formula import And, Or
 from repro.smt.lra import LraSolver, TheoryMismatch
-from repro.smt.solver import SMT_COUNTERS, SmtSolver
+from repro.smt.solver import SmtSolver
 from repro.smt.theory import check_conjunction
 
 x, y, z = var("x"), var("y"), var("z")
@@ -149,13 +150,19 @@ class TestSmtSolverTheory:
     def test_counters(self):
         solver = SmtSolver()
         solver.assert_formula(self.FORMULA)
-        model = solver.check().model
+        with recording() as stats:
+            model = solver.check().model
         assert 3 <= model["x"] <= 10
-        assert set(solver.statistics) == set(SMT_COUNTERS)
-        stats = solver.statistics
-        assert stats["theory_calls"] == stats["sat_calls"]
-        assert stats["theory_conflicts"] == stats["theory_calls"] - 1
-        assert stats["core_literals"] >= 2 * stats["theory_conflicts"]
+        assert {name for name in stats if name.startswith("smt.")} <= {
+            "smt.sat_calls",
+            "smt.theory_calls",
+            "smt.theory_conflicts",
+            "smt.core_literals",
+            "smt.theory_pivots",
+        }
+        assert stats["smt.theory_calls"] == stats["smt.sat_calls"]
+        assert stats["smt.theory_conflicts"] == stats["smt.theory_calls"] - 1
+        assert stats["smt.core_literals"] >= 2 * stats["smt.theory_conflicts"]
 
     def test_audit_accepts_sound_cores(self):
         solver = SmtSolver(lp_mode="audit")
@@ -179,6 +186,7 @@ class TestSmtSolverTheory:
     def test_integer_gap_blocks_the_whole_assignment(self):
         solver = SmtSolver(integer_variables=["x"])
         solver.assert_formula(And([3 * x >= 1, 3 * x <= 2]))
-        assert solver.check().is_unsat
-        assert solver.statistics["theory_conflicts"] == 1
-        assert solver.statistics["core_literals"] == 2
+        with recording() as stats:
+            assert solver.check().is_unsat
+        assert stats["smt.theory_conflicts"] == 1
+        assert stats["smt.core_literals"] == 2

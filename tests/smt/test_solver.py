@@ -1,6 +1,7 @@
 """Tests for the lazy DPLL(T) solver."""
 
 
+from repro.counters import recording
 from repro.linexpr.expr import var
 from repro.linexpr.formula import And, Exists, Or
 from repro.smt.solver import SmtSolver
@@ -69,8 +70,9 @@ class TestUnsat:
     def test_statistics_recorded(self):
         solver = SmtSolver()
         solver.assert_formula(And([x >= 3, Or([x <= 1, x <= 2])]))
-        solver.check()
-        assert solver.statistics["theory_calls"] >= 1
+        with recording() as stats:
+            solver.check()
+        assert stats["smt.theory_calls"] >= 1
 
 
 class TestEnumeration:

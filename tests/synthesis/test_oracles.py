@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.api import Analysis
+from repro.counters import recording
 from repro.linexpr.constraint import Relation
 from repro.synthesis.oracles import (
     DdEnumerationOracle,
@@ -97,7 +98,6 @@ class TestDdOracle:
         template = template_for(countdown_automaton)
         oracle = DdEnumerationOracle()
         oracle.reset(template, ())
-        before = oracle.statistics["smt_queries"]
         # A candidate that strictly decreases on every step of
         # `while (x > 0) x = x - 1`: rank by x at the only cut point.
         from repro.core.ranking import AffineRankingFunction
@@ -110,11 +110,12 @@ class TestDdOracle:
             {location: Vector([Fraction(1)])},
             {location: Fraction(0)},
         )
-        groups = oracle.find(
-            zero_request(template, objective=template.objective(candidate))
-        )
+        with recording() as counts:
+            groups = oracle.find(
+                zero_request(template, objective=template.objective(candidate))
+            )
         assert groups == []
-        assert oracle.statistics["smt_queries"] == before + 1
+        assert counts["oracle.smt_queries"] == 1
 
 
 class TestSamplingOracle:
