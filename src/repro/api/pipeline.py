@@ -279,10 +279,6 @@ class Analysis:
         result.time_seconds = sum(stage.seconds for stage in result.stages)
         return result
 
-    def run_many(self, tools: Sequence[str]) -> List[AnalysisResult]:
-        """Run several tools, building the problem exactly once."""
-        return [self.run(tool) for tool in tools]
-
 
 # -- batch execution ------------------------------------------------------------------
 

@@ -32,11 +32,11 @@ Six subcommands, all built on the unified analysis API:
     through the parallel engine (the same engine CI runs; also reachable
     as ``python benchmarks/table1.py``).
 
-``repro bench``
-    The performance micro-suite: a simplex batch, pruned
-    Fourier–Motzkin, a Table-1 WTC slice and the CEGIS ablation, written
-    to ``BENCH_kernel.json`` (also reachable as
-    ``python benchmarks/perf_kernel.py``).
+``repro serve --stdio | repro serve --port N``
+    Keep the analysis pipeline resident and answer newline-delimited
+    JSON-RPC 2.0 requests over stdin/stdout or TCP, with a
+    content-addressed result cache whose hits the independent checker
+    re-validates before they are served (protocol: ``docs/SERVICE.md``).
 
 Installed as a console script (``pip install -e .``) and always available
 as ``python -m repro``.
@@ -67,6 +67,26 @@ from repro.api import (
     prover_summaries,
 )
 from repro.core.lp_instance import LP_MODES
+
+
+def _bounded(cast, low, strict=False):
+    """An argparse ``type``: *cast* the text, then require ``> low``
+    (*strict*) or ``>= low``, so nonsense exits 2 with a usage error."""
+
+    def parse(text: str):
+        value = cast(text)  # a ValueError here is argparse's own message
+        if not (value > low if strict else value >= low):  # NaN fails too
+            raise argparse.ArgumentTypeError(
+                "must be %s %s, got %s" % (">" if strict else ">=", low, text)
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # names the type in "invalid float value"
+    return parse
+
+
+_POSITIVE_SECONDS = _bounded(float, 0, strict=True)
+_COUNT = _bounded(int, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -675,7 +695,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE_SECONDS,
         default=None,
         metavar="SECONDS",
         help="per-request wall-clock budget; an over-budget request gets "
@@ -748,113 +768,6 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="SPEC",
         help=argparse.SUPPRESS,  # chaos testing only: "seedN[:kill=P,...]"
     )
-
-
-# ---------------------------------------------------------------------------
-# repro bench (also the engine behind benchmarks/perf_kernel.py)
-# ---------------------------------------------------------------------------
-
-
-def command_bench(arguments: argparse.Namespace) -> int:
-    from repro.reporting.perf import merge_bench_documents, run_suite
-
-    started = time.perf_counter()
-    try:
-        document = run_suite(
-            quick=arguments.quick,
-            seed=arguments.seed,
-            suites=arguments.suites or None,
-        )
-    except ValueError as error:
-        print("error: %s" % error, file=sys.stderr)
-        return 1
-    elapsed = time.perf_counter() - started
-
-    # A partial run (explicit suite selection) folds into the existing
-    # trajectory file instead of clobbering the other suites' numbers.
-    if arguments.suites and arguments.json_path and arguments.json_path != "-":
-        try:
-            with open(arguments.json_path) as handle:
-                previous = json.load(handle)
-        except (OSError, ValueError):
-            previous = None
-        if previous is not None:
-            document = merge_bench_documents(previous, document)
-
-    for suite in document["suites"]:
-        extras = " ".join(
-            "%s=%s" % (key, value)
-            for key, value in suite.items()
-            if key not in ("suite", "wall_seconds")
-        )
-        print("%-12s %8.3fs  %s" % (suite["suite"], suite["wall_seconds"], extras))
-    print(
-        "%d suites, %.3fs measured (%.1fs wall)%s"
-        % (
-            len(document["suites"]),
-            document["total_wall_seconds"],
-            elapsed,
-            " [quick]" if arguments.quick else "",
-        )
-    )
-
-    if arguments.json_path and arguments.json_path != "-":
-        try:
-            with open(arguments.json_path, "w") as handle:
-                json.dump(document, handle, indent=2)
-                handle.write("\n")
-        except OSError as error:
-            print(
-                "error: cannot write %s: %s" % (arguments.json_path, error),
-                file=sys.stderr,
-            )
-            return 1
-        print("wrote %s" % arguments.json_path)
-    return 0
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    from repro.reporting.perf import SUITE_RUNNERS
-
-    parser.add_argument(
-        "suites",
-        nargs="*",
-        metavar="SUITE",
-        help="suites to run (default: the four default suites; 'service' "
-        "measures the resident front door).  A partial selection merges "
-        "into the existing JSON report instead of replacing it.  "
-        "Choices: %s" % ", ".join(sorted(SUITE_RUNNERS)),
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller suite sizes (the CI perf-smoke configuration)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        metavar="N",
-        help="seed for the randomised suites (default: 0)",
-    )
-    parser.add_argument(
-        "--json",
-        dest="json_path",
-        default="BENCH_kernel.json",
-        metavar="OUT",
-        help="where to write the machine-readable report "
-        "(default: BENCH_kernel.json; '-' prints only)",
-    )
-
-
-def bench_main(argv=None) -> int:
-    """Standalone entry point (used by ``benchmarks/perf_kernel.py``)."""
-    parser = argparse.ArgumentParser(
-        description="Run the performance micro-suite.",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    add_bench_arguments(parser)
-    return command_bench(parser.parse_args(argv))
 
 
 # ---------------------------------------------------------------------------
@@ -933,7 +846,7 @@ def add_table1_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE_SECONDS,
         default=None,
         metavar="SECONDS",
         help="per-program wall-clock budget covering all requested tools "
@@ -1158,7 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE_SECONDS,
         default=None,
         metavar="SECONDS",
         help="per-program budget (prove + audit); an over-budget "
@@ -1179,7 +1092,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--seed", type=int, default=0, metavar="N")
     fuzz.add_argument(
         "--count",
-        type=int,
+        type=_COUNT,
         default=100,
         metavar="N",
         help="number of programs to generate (default: 100)",
@@ -1201,7 +1114,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--timeout",
-        type=float,
+        type=_POSITIVE_SECONDS,
         default=None,
         metavar="SECONDS",
         help="per-program budget covering all tools (runs through the "
@@ -1234,16 +1147,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_table1_arguments(table1)
     table1.set_defaults(handler=command_table1)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the performance micro-suite",
-        description="Measure the exact simplex, pruned Fourier-Motzkin "
-        "projection, a Table-1 WTC slice and the CEGIS ablation; write "
-        "the trajectory to BENCH_kernel.json.",
-    )
-    add_bench_arguments(bench)
-    bench.set_defaults(handler=command_bench)
 
     serve = subparsers.add_parser(
         "serve",

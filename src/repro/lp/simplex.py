@@ -321,10 +321,6 @@ class _Tableau:
         self.pivot_count += 1
         count("lp.pivots")
 
-    def reduced_cost_at(self, col: int) -> Fraction:
-        """Reduced cost of one column for the current basis."""
-        return self._cost.get(col)
-
     def objective_value(self) -> Fraction:
         return -self._cost.get(_RHS)
 

@@ -295,7 +295,3 @@ class SmtSolver:
     @property
     def integer_variables(self) -> Set[str]:
         return set(self._integer_variables)
-
-    @property
-    def free_variables(self) -> Set[str]:
-        return set(self._free_variables)

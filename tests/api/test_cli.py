@@ -109,6 +109,40 @@ class TestProve:
         assert result["lp"]["cold_solves"] > 0  # audit shadow-solves cold
 
 
+class TestArgumentValidation:
+    """Nonsense budgets and counts are usage errors, not runs."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table1", "--suite", "sorts", "--limit", "2", "--timeout", "-5"],
+            ["check", "--suite", "sorts", "--timeout", "-1"],
+            ["fuzz", "--timeout", "0"],
+            ["fuzz", "--timeout", "nan"],
+            ["fuzz", "--count", "-1"],
+            ["serve", "--port", "0", "--timeout", "0"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_rejected_with_usage_error(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_boundary_values_accepted(self):
+        from repro.cli import build_parser
+
+        arguments = build_parser().parse_args(
+            ["fuzz", "--count", "0", "--timeout", "0.05"]
+        )
+        assert arguments.count == 0 and arguments.timeout == 0.05
+        arguments = build_parser().parse_args(["check", "--max-disjuncts", "0"])
+        assert arguments.max_disjuncts == 0
+
+
 @pytest.mark.slow
 class TestTable1Subcommand:
     def test_tiny_slice_runs(self, tmp_path):

@@ -167,3 +167,34 @@ class TestRaceCounters:
         smt = [key for key in off_lp if key.startswith("smt_")]
         assert len(smt) == 5
         assert {key: auto_lp[key] for key in smt} == {key: off_lp[key] for key in smt}
+
+
+class TestCorpusSlice:
+    def test_nonterm_certifies_every_verdict(self):
+        """``nonterm="only"`` over generated nonterminating gadgets and the
+        possibly-nonterminating WTC programs: every NONTERMINATING verdict
+        carries a lasso the independent recurrence checker accepted."""
+        from repro.benchsuite import get_suite
+        from repro.checking.generator import NONTERMINATING, ProgramGenerator
+
+        gadgets = [
+            program
+            for program in ProgramGenerator(0).programs(60)
+            if program.expected == NONTERMINATING
+        ][:4]
+        wtc = [p for p in get_suite("wtc") if not p.terminating][:2]
+        config = AnalysisConfig(nonterm="only")
+        nonterminating = 0
+        for name, program in [(g.name, g.source) for g in gadgets] + [
+            (p.name, p.build()) for p in wtc
+        ]:
+            result = analyze(program, tool="termite", config=config, name=name)
+            assert result.status in (
+                AnalysisStatus.NONTERMINATING,
+                AnalysisStatus.UNKNOWN,
+            ), (name, result.status, result.message)
+            if result.disproved:
+                nonterminating += 1
+                assert result.lasso is not None, name
+                assert result.certificate_checked, name
+        assert nonterminating > 0

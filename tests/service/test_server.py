@@ -812,6 +812,115 @@ class TestBatchFanout:
 
 
 # ---------------------------------------------------------------------------
+# cold versus warm traffic: the cache's counted claims
+# ---------------------------------------------------------------------------
+
+
+def _drive_clients(host, port, batches):
+    """Each batch of request lines on its own connection and thread; the
+    per-request latencies in seconds."""
+    latencies = []
+    errors = []
+    lock = threading.Lock()
+
+    def one_client(lines):
+        try:
+            client = Client(host, port)
+            try:
+                for line in lines:
+                    started = time.perf_counter()
+                    client.stream.write(line)
+                    client.stream.flush()
+                    reply = json.loads(client.stream.readline())
+                    elapsed = time.perf_counter() - started
+                    assert "error" not in reply, reply["error"]
+                    with lock:
+                        latencies.append(elapsed)
+            finally:
+                client.close()
+        except Exception as error:  # re-raised on the test thread
+            with lock:
+                errors.append(error)
+
+    threads = [
+        threading.Thread(target=one_client, args=(batch,)) for batch in batches
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return latencies
+
+
+class TestColdWarmClaims:
+    def test_warm_hits_dispatch_nothing_and_are_revalidated(self):
+        from repro.api.config import AnalysisConfig
+        from repro.benchsuite import get_suite
+
+        clients = warm_rounds = 2
+        programs = [
+            p for p in get_suite("wtc") if p.terminating and p.source is not None
+        ][:2]
+        # Distinct oracle seeds give distinct cache keys, so every cold
+        # request pays a full analysis in the worker pool.
+        requests = [
+            AnalysisRequest(
+                program=program.source,
+                config=AnalysisConfig(oracle_seed=seed),
+                name="%s@%d" % (program.name, seed),
+            )
+            for program in programs
+            for seed in range(2)
+        ]
+        lines = [
+            rpc_line("analyze", request.to_dict(), index)
+            for index, request in enumerate(requests)
+        ]
+        running = run_server_in_thread(port=0, jobs=2)
+        try:
+            started = time.perf_counter()
+            cold = _drive_clients(
+                running.host,
+                running.port,
+                [lines[index::clients] for index in range(clients)],
+            )
+            cold_wall = time.perf_counter() - started
+            cold_tasks = running.cache_stats()["pool"]["tasks_submitted"]
+
+            # Every client replays the whole request list: all hits.
+            started = time.perf_counter()
+            warm = _drive_clients(
+                running.host,
+                running.port,
+                [lines * warm_rounds for _ in range(clients)],
+            )
+            warm_wall = time.perf_counter() - started
+            warm_tasks = (
+                running.cache_stats()["pool"]["tasks_submitted"] - cold_tasks
+            )
+            stats = running.cache_stats()["stats"]
+        finally:
+            running.stop()
+
+        assert len(cold) == len(lines) > 0
+        assert len(warm) == clients * warm_rounds * len(lines)
+        assert max(cold) > 0 and max(warm) > 0
+        # Every cold request misses and dispatches exactly one pool task;
+        # every warm request is a hit served without one, re-validated by
+        # the independent checker.
+        assert stats["misses"] == len(cold)
+        assert cold_tasks == len(cold)
+        assert warm_tasks == 0
+        assert stats["hits"] == len(warm)
+        assert stats["revalidations"] == len(warm)
+        assert stats["revalidation_failures"] == 0
+        assert len(warm) / warm_wall > len(cold) / cold_wall
+
+
+# ---------------------------------------------------------------------------
 # the retry client against real injected faults
 # ---------------------------------------------------------------------------
 

